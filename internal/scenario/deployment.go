@@ -239,7 +239,9 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 				return nil, err
 			}
 			if set.chEngine != nil {
-				set.chEngine.Instrument(env.rt)
+				// Per-site series: N engines writing one unlabelled gauge
+				// would leave only the last writer's value.
+				set.chEngine.Instrument(env.rt, env.siteLabels(v.Name)...)
 			}
 			sets[i] = set
 		}

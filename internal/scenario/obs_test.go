@@ -98,3 +98,29 @@ func TestTraceDroppedSurfaced(t *testing.T) {
 		t.Error("first capture drop was not journalled")
 	}
 }
+
+// TestDeploymentCoreGaugesPerSite checks that every isolated site's engine
+// writes its own site-labelled core_* series: the snapshot must read each
+// engine's own database size, not whichever engine wrote last.
+func TestDeploymentCoreGaugesPerSite(t *testing.T) {
+	d := deployConfig(t, CityHunter, 4)
+	d.Base.Metrics = true
+	res, err := RunDeployment(d, 0, 3*time.Minute)
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	sizes := map[int]bool{}
+	for _, s := range res.Sites {
+		p, ok := res.Metrics.Get("core_db_size", "site", s.Venue)
+		if !ok {
+			t.Fatalf("no core_db_size series for site %q", s.Venue)
+		}
+		if want := s.Engine.DBSize(); int(p.Value) != want {
+			t.Errorf("core_db_size{site=%q} = %v, engine holds %d", s.Venue, p.Value, want)
+		}
+		sizes[s.Engine.DBSize()] = true
+	}
+	if len(sizes) < 2 {
+		t.Fatal("sites ended with equal database sizes; the test cannot tell them apart")
+	}
+}
