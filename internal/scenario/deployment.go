@@ -9,6 +9,7 @@ import (
 	"cityhunter/internal/geo"
 	"cityhunter/internal/mobility"
 	"cityhunter/internal/obs"
+	"cityhunter/internal/sim"
 	"cityhunter/internal/stats"
 )
 
@@ -120,15 +121,30 @@ type DeploymentResult struct {
 	Spans   *obs.Trace
 }
 
-// deploymentRun is the roaming coordinator: it owns the transit decisions
-// made when any site's population finishes a dwell.
-type deploymentRun struct {
-	env          *runEnv
+// deployment is the one deployment driver. It works over per-site handles:
+// envs[i] is site i's environment. On the serial engine every entry is the
+// same shared runEnv; on the partitioned engine each site owns one — its
+// partition's engine, a radio shard, an RNG stream, a MAC space and a
+// journal. coord is nil on the serial engine. Only env construction and
+// the primitives every, now, run and handoff branch on it; roaming,
+// sampling, knowledge sync, the telemetry feed, the far-field tier and
+// collection are written once over envs.
+type deployment struct {
+	coord  *sim.Partitioned // nil on the serial engine
+	partOf []int            // site index → partition index (partitioned only)
+	envs   []*runEnv
+	// rt is the deployment-wide runtime: the shared env's on the serial
+	// engine, the coordinator's on the partitioned one.
+	rt *obs.Runtime
+
 	sites        []*site
 	pops         []*population
 	transit      mobility.TransitModel
 	roamFraction float64
-	roams        int
+	// siteRoams counts completed transits by destination site; each entry
+	// is touched only by the engine running that site, and the sum is
+	// DeploymentResult.Roams.
+	siteRoams []int
 }
 
 // RunDeployment executes a multi-site deployment for one slot. It is
@@ -138,9 +154,11 @@ func RunDeployment(dcfg DeploymentConfig, slot int, duration time.Duration) (*De
 }
 
 // RunDeploymentContext composes the same layers as RunContext — world
-// build, knowledge, site deployment, collection — across N sites on one
-// medium, then adds the two things only a city has: phones roaming
-// between venues, and a knowledge plane joining the hunters' databases.
+// build, knowledge, site deployment, collection — across N sites, then
+// adds the two things only a city has: phones roaming between venues, and
+// a knowledge plane joining the hunters' databases. DeploymentConfig.
+// Partitions selects the serial engine (one env shared by every site) or
+// the partitioned one (one env per site); the layers above are the same.
 //
 // Cancellation mirrors RunContext: a mid-run cancel returns the partial
 // DeploymentResult together with a non-nil error wrapping ctx.Err().
@@ -199,19 +217,27 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 		return nil, err
 	}
 	cfg.Venue = Venue{} // sites replace it; nothing below may consult it
-
-	if dcfg.Partitions != 0 {
-		return runPartitionedDeployment(ctx, dcfg, cfg, slot, duration, transit, syncEvery, radioRange)
+	var ff *FarFieldConfig
+	if dcfg.FarField != nil {
+		f, err := dcfg.FarField.normalized(dcfg.Sites, radioRange, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		ff = &f
 	}
 
-	env, err := newRunEnv(cfg, radioRange)
+	// Environment layer.
+	var d *deployment
+	if dcfg.Partitions == 0 {
+		d, err = newSerialDeployment(cfg, len(dcfg.Sites), radioRange)
+	} else {
+		d, err = newPartitionedDeployment(dcfg, cfg, ff, transit, duration, radioRange)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Deployments label per-site instrumentation so a live monitor can
-	// tell co-resident attackers apart; single-venue runs never do, which
-	// keeps their metric dumps byte-stable.
-	env.labelSites = true
+	d.transit, d.roamFraction = transit, dcfg.RoamFraction
+	d.siteRoams = make([]int, len(dcfg.Sites))
 
 	// Knowledge layer: one strategy set per site, or one for all.
 	sets := make([]strategySet, len(dcfg.Sites))
@@ -225,7 +251,7 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 			return nil, err
 		}
 		if shared.chEngine != nil {
-			shared.chEngine.Instrument(env.rt)
+			shared.chEngine.Instrument(d.rt)
 		}
 		for i := range sets {
 			sets[i] = shared
@@ -241,6 +267,7 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 			if set.chEngine != nil {
 				// Per-site series: N engines writing one unlabelled gauge
 				// would leave only the last writer's value.
+				env := d.envs[i]
 				set.chEngine.Instrument(env.rt, env.siteLabels(v.Name)...)
 			}
 			sets[i] = set
@@ -248,119 +275,183 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 	}
 
 	// Site-deployment layer.
-	sites := make([]*site, len(dcfg.Sites))
+	d.sites = make([]*site, len(dcfg.Sites))
 	for i, v := range dcfg.Sites {
-		sites[i], err = deploySite(env, v, deploymentSiteIdentity(i), sets[i])
+		d.sites[i], err = deploySite(d.envs[i], v, deploymentSiteIdentity(i), sets[i])
 		if err != nil {
 			return nil, err
 		}
 	}
-	feed := startFeed(env, "deployment", slot, sites, map[string]string{
+	labels := map[string]string{
 		"knowledge": dcfg.Knowledge.String(),
-		"sites":     fmt.Sprintf("%d", len(sites)),
-	})
-	scheduleSampling(env, sites)
+		"sites":     fmt.Sprintf("%d", len(d.sites)),
+	}
+	if d.coord != nil {
+		labels["partitions"] = fmt.Sprintf("%d", d.coord.Parts())
+	}
+	feed := startFeed(d.rt, cfg, d.every, d.now, "deployment", slot, d.sites, labels)
+	scheduleSampling(d.envs, d.sites)
 	if dcfg.Knowledge == PeriodicSync {
-		scheduleKnowledgeSync(env, sites, syncEvery)
+		d.scheduleKnowledgeSync(syncEvery)
 	}
 
-	// Population layer: one population per site over a shared MAC space,
-	// with dwell endings routed through the roaming coordinator.
-	d := &deploymentRun{env: env, sites: sites, transit: transit, roamFraction: dcfg.RoamFraction}
-	macs := &macAllocator{}
-	attackers := attackerSet(sites)
+	// Population layer: one population per site, drawing from its env's
+	// RNG stream and MAC space, with dwell endings routed through the
+	// roaming hook.
+	attackers := attackerSet(d.sites)
 	slotStart := time.Duration(slot) * time.Hour
-	pops := make([]*population, len(dcfg.Sites))
+	d.pops = make([]*population, len(dcfg.Sites))
 	for i, v := range dcfg.Sites {
+		env := d.envs[i]
 		arrivals, err := mobility.Arrivals(env.rng, scaledProfile(v.Profile, cfg.ArrivalScale), slotStart, duration)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: site %q: %w", v.Name, err)
 		}
-		pop := newPopulation(env, v, sites[i].id.legitMAC, attackers, macs)
+		pop := newPopulation(env, v, d.sites[i].id.legitMAC, attackers)
 		pop.siteIndex = i
 		pop.endDwell = d.endDwell
-		pops[i] = pop
+		d.pops[i] = pop
 		pop.spawnArrivals(arrivals, slotStart, v.Groups(slot), duration)
 	}
-	d.pops = pops
 
 	// Level-of-detail layer: the far-field tier spawns after the venue
-	// populations so every classic draw from env.rng keeps its order, and
-	// draws only from its own spawn-derived streams thereafter.
+	// populations so every classic draw from the env RNG keeps its order,
+	// and draws only from its own spawn-derived streams thereafter.
 	var tiers *tierManager
-	if dcfg.FarField != nil {
-		ff, err := dcfg.FarField.normalized(dcfg.Sites, radioRange, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		tiers, err = newTierManager(env, ff, sites)
+	if ff != nil {
+		tiers, err = newTierManager(d.envs, *ff, d.sites)
 		if err != nil {
 			return nil, err
 		}
 		tiers.spawn(duration)
 	}
 
-	_, runErr := env.engine.RunContext(ctx, duration)
+	runErr := d.run(ctx, duration)
 
-	// Collection layer.
+	// Collection layer — single-threaded again on either engine.
 	simulated := duration
 	if runErr != nil {
-		simulated = env.engine.Now()
+		simulated = d.now()
 	}
-	engines := uniqueEngines(sites)
-	dres := &DeploymentResult{
-		Knowledge: dcfg.Knowledge,
-		Roams:     d.roams,
-		Duration:  simulated,
+	engines := uniqueEngines(d.sites)
+	dres := &DeploymentResult{Knowledge: dcfg.Knowledge, Duration: simulated}
+	for _, r := range d.siteRoams {
+		dres.Roams += r
 	}
-	for i, st := range sites {
-		res := assembleResult(env, st, pops[i], slot, simulated, engines)
+	for i, st := range d.sites {
+		res := assembleResult(d.envs[i], st, d.pops[i], slot, simulated, engines)
 		dres.Sites = append(dres.Sites, res)
 		dres.Outcomes = append(dres.Outcomes, res.Outcomes...)
 	}
 	dres.Tally = stats.NewTally(dres.Outcomes)
 	if tiers != nil {
-		dres.FarField = tiers.result(env.engine.Now(), engines)
-		if env.rt != nil && env.rt.Metrics != nil {
+		dres.FarField = tiers.result(simulated, engines)
+		if d.rt != nil && d.rt.Metrics != nil {
 			ff := dres.FarField
-			env.rt.Metrics.Counter("scenario_farfield_pedestrians").Add(int64(ff.Pedestrians))
-			env.rt.Metrics.Counter("scenario_farfield_promotions").Add(int64(ff.Promotions))
-			env.rt.Metrics.Counter("scenario_farfield_demotions").Add(int64(ff.Demotions))
-			env.rt.Metrics.Gauge("scenario_farfield_peak_promoted").Set(float64(ff.PeakPromoted))
+			d.rt.Metrics.Counter("scenario_farfield_pedestrians").Add(int64(ff.Pedestrians))
+			d.rt.Metrics.Counter("scenario_farfield_promotions").Add(int64(ff.Promotions))
+			d.rt.Metrics.Counter("scenario_farfield_demotions").Add(int64(ff.Demotions))
+			d.rt.Metrics.Gauge("scenario_farfield_peak_promoted").Set(float64(ff.PeakPromoted))
 		}
 	}
-	if env.rt != nil {
+	if d.rt != nil {
+		if d.coord != nil && cfg.FlightRecorderCap > 0 {
+			// Partitioned sites journal into rings of their own; fold them
+			// into the coordinator's in timestamp order.
+			journals := []*obs.Journal{d.rt.Journal}
+			for _, env := range d.envs {
+				journals = append(journals, env.rt.Journal)
+			}
+			d.rt.Journal = mergeJournals(cfg.FlightRecorderCap, journals)
+		}
 		for i, res := range dres.Sites {
-			emitRunTelemetry(env.rt, env, pops[i], res)
+			emitRunTelemetry(d.rt, d.envs[i], d.pops[i], res)
 		}
 		for _, res := range dres.Sites {
-			attachObservability(env.rt, res)
+			attachObservability(d.rt, res)
 		}
-		dres.Metrics = env.rt.Metrics.Snapshot()
-		dres.Journal = env.rt.Journal
-		dres.Spans = env.rt.Trace
+		dres.Metrics = d.rt.Metrics.Snapshot()
+		dres.Journal = d.rt.Journal
+		dres.Spans = d.rt.Trace
 	}
 	feed.finish(simulated, runErr)
 	if runErr != nil {
-		return dres, fmt.Errorf("scenario: deployment cancelled after %v of %v: %w",
+		return dres, fmt.Errorf("scenario: deployment stopped after %v of %v: %w",
 			simulated, duration, runErr)
 	}
 	return dres, nil
 }
 
+// newSerialDeployment builds the serial engine's environment: one runEnv —
+// one engine, one city-wide medium, one RNG stream, one MAC space — that
+// every site shares.
+func newSerialDeployment(cfg Config, nsites int, radioRange float64) (*deployment, error) {
+	env, err := newRunEnv(cfg, radioRange)
+	if err != nil {
+		return nil, err
+	}
+	// Deployments label per-site instrumentation so a live monitor can
+	// tell co-resident attackers apart; single-venue runs never do, which
+	// keeps their metric dumps byte-stable.
+	env.labelSites = true
+	d := &deployment{envs: make([]*runEnv, nsites), rt: env.rt}
+	for i := range d.envs {
+		d.envs[i] = env
+	}
+	return d, nil
+}
+
+// every arms fn at now+delay and every period thereafter: an engine event
+// on the serial engine, a coordinator barrier event on the partitioned one
+// (so it runs while no partition does).
+func (d *deployment) every(delay, period time.Duration, fn func()) {
+	if d.coord == nil {
+		d.envs[0].engine.Every(delay, period, fn)
+		return
+	}
+	d.coord.GlobalEvery(delay, period, fn)
+}
+
+// now reads the deployment clock. Partitioned, it is the last barrier —
+// exact inside every callbacks, which run at barriers.
+func (d *deployment) now() time.Duration {
+	if d.coord == nil {
+		return d.envs[0].engine.Now()
+	}
+	return d.coord.Now()
+}
+
+// run advances the deployment to until. A partitioned run that delivered
+// any cross-partition message late broke the lookahead its determinism
+// rests on, and fails.
+func (d *deployment) run(ctx context.Context, until time.Duration) error {
+	if d.coord == nil {
+		_, err := d.envs[0].engine.RunContext(ctx, until)
+		return err
+	}
+	if _, err := d.coord.RunContext(ctx, until); err != nil {
+		return err
+	}
+	if v := d.coord.LookaheadViolations(); v != 0 {
+		return fmt.Errorf("partitioned run delivered %d cross-partition messages past their lookahead", v)
+	}
+	return nil
+}
+
 // scheduleKnowledgeSync arms the PeriodicSync exchange: every period, each
 // engine absorbs the hit records the others gained since the last sync.
 // Absorbed records raise the SSID's weight and hit history at the
-// receiving site without fabricating per-client state there.
-func scheduleKnowledgeSync(env *runEnv, sites []*site, every time.Duration) {
-	engines := uniqueEngines(sites)
+// receiving site without fabricating per-client state there. Partitioned,
+// the exchange is a barrier event, so it needs no locks and lands in site
+// order.
+func (d *deployment) scheduleKnowledgeSync(every time.Duration) {
+	engines := uniqueEngines(d.sites)
 	if len(engines) < 2 {
 		return
 	}
 	consumed := make([]int, len(engines))
-	var sync func()
-	sync = func() {
-		now := env.engine.Now()
+	d.every(every, every, func() {
+		now := d.now()
 		for i, src := range engines {
 			hits := src.Hits()
 			for _, h := range hits[consumed[i]:] {
@@ -372,69 +463,101 @@ func scheduleKnowledgeSync(env *runEnv, sites []*site, every time.Duration) {
 			}
 			consumed[i] = len(hits)
 		}
-		env.engine.Schedule(every, sync)
-	}
-	env.engine.Schedule(every, sync)
+	})
 }
 
 // endDwell decides what a phone does when its dwell expires: with
 // probability RoamFraction it walks to another site — keeping its PNL,
 // scan state, MAC, and whatever the knowledge plane remembers about it —
-// otherwise it leaves the city.
-func (d *deploymentRun) endDwell(m *member) {
+// otherwise it leaves the city. It runs on the engine of the phone's
+// current site and draws from that site's RNG stream.
+func (d *deployment) endDwell(m *member) {
 	if m.c.State() == client.StateDeparted {
 		return
 	}
-	if len(d.sites) < 2 || d.env.rng.Float64() >= d.roamFraction {
+	rng := d.envs[m.site].rng
+	if len(d.sites) < 2 || rng.Float64() >= d.roamFraction {
 		m.c.Depart()
 		return
 	}
 	// Uniform choice among the other sites.
-	target := d.env.rng.Intn(len(d.sites) - 1)
+	target := rng.Intn(len(d.sites) - 1)
 	if target >= m.site {
 		target++
 	}
 	d.startTransit(m, target)
 }
 
-// startTransit walks the phone from its current position to a drawn entry
-// point at the target site. The phone keeps scanning while it walks; for
-// realistic inter-venue distances it spends most of the leg out of every
-// station's radio range, so the ticker is coarse.
-func (d *deploymentRun) startTransit(m *member, target int) {
+// startTransit draws the phone's entry point at the target site and its
+// walk there, then hands it over.
+func (d *deployment) startTransit(m *member, target int) {
+	rng := d.envs[m.site].rng
 	dest := d.sites[target].venue
-	entry := mobility.StaticPos(d.env.rng, dest.Position, dest.RadioRange*0.9)
-	path := d.transit.Path(d.env.rng, m.c.Pos(), entry)
-	m.leg++
-	m.legStart = d.env.engine.Now()
-	leg := m.leg
-	const step = 10 * time.Second
-	var tick func()
-	tick = func() {
-		if m.c.State() == client.StateDeparted || m.leg != leg {
-			return
+	entry := mobility.StaticPos(rng, dest.Position, dest.RadioRange*0.9)
+	d.handoff(m, target, entry, d.transit.Path(rng, m.c.Pos(), entry))
+}
+
+// handoff carries a phone along its transit path to the target site and
+// calls arrive there. The serial engine walks it, scanning, in coarse
+// steps: for realistic inter-venue distances it spends most of the leg out
+// of every station's radio range. On the partitioned engine the walk is
+// radio-silent — radio is partition-local, and the RF-gap validation
+// leaves nothing to hear mid-walk — so the phone suspends here and resumes
+// on the target's partition when the transit message arrives, at least one
+// lookahead later by construction, with the same MAC, PNL, stats, sequence
+// counter and unmasked twins.
+func (d *deployment) handoff(m *member, target int, entry geo.Point, path mobility.Path) {
+	src := m.site
+	engine := d.envs[src].engine
+	if d.coord == nil {
+		m.leg++
+		m.legStart = engine.Now()
+		leg := m.leg
+		const step = 10 * time.Second
+		var tick func()
+		tick = func() {
+			if m.c.State() == client.StateDeparted || m.leg != leg {
+				return
+			}
+			off := engine.Now() - m.legStart
+			if off >= path.Duration {
+				m.c.SetPos(path.To)
+				d.arrive(m, target)
+				return
+			}
+			m.c.SetPos(path.At(off))
+			engine.Schedule(step, tick)
 		}
-		off := d.env.engine.Now() - m.legStart
-		if off >= path.Duration {
-			m.c.SetPos(path.To)
-			d.arrive(m, target)
-			return
-		}
-		m.c.SetPos(path.At(off))
-		d.env.engine.Schedule(step, tick)
+		engine.Schedule(step, tick)
+		return
 	}
-	d.env.engine.Schedule(step, tick)
+	snap, err := m.c.Suspend()
+	if err != nil {
+		return
+	}
+	m.leg++
+	m.legStart = engine.Now()
+	d.coord.Post(d.partOf[src], src, m.legStart+path.Duration, d.partOf[target], func() {
+		env := d.envs[target]
+		c, err := client.Resume(env.engine, env.medium, d.pops[target].rng, snap)
+		if err != nil {
+			return
+		}
+		c.SetPos(entry)
+		m.c = c
+		d.arrive(m, target)
+	})
 }
 
 // arrive starts a fresh dwell at the destination site, drawn from that
 // venue's own dwell and movement models.
-func (d *deploymentRun) arrive(m *member, target int) {
-	d.roams++
+func (d *deployment) arrive(m *member, target int) {
+	d.siteRoams[target]++
 	m.roams++
 	m.site = target
 	pop := d.pops[target]
 	venue := pop.venue
-	now := d.env.engine.Now()
+	now := pop.engine.Now()
 	moving := pop.rng.Float64() < venue.MovingFraction
 	var dwell time.Duration
 	if moving {
@@ -452,5 +575,5 @@ func (d *deploymentRun) arrive(m *member, target int) {
 	} else {
 		m.c.SetPos(mobility.StaticPos(pop.rng, venue.Position, venue.RadioRange*0.9))
 	}
-	d.env.engine.At(m.departAt, func() { pop.finishDwell(m) })
+	pop.engine.At(m.departAt, func() { pop.finishDwell(m) })
 }

@@ -22,6 +22,8 @@ type runEnv struct {
 	medium *sim.Medium
 	rt     *obs.Runtime
 	model  *pnl.Model
+	// macs hands out the client MACs of the populations on this env.
+	macs *macAllocator
 
 	// labelSites makes per-site instrumentation stamp a "site" label on
 	// its metric series. Deployments set it so a live monitor can tell N
@@ -124,5 +126,5 @@ func newRunEnv(cfg Config, radioRange float64) (*runEnv, error) {
 			return nil, fmt.Errorf("scenario: build pnl model: %w", err)
 		}
 	}
-	return &runEnv{cfg: cfg, rng: rng, engine: engine, medium: medium, rt: rt, model: pnlModel}, nil
+	return &runEnv{cfg: cfg, rng: rng, engine: engine, medium: medium, rt: rt, model: pnlModel, macs: &macAllocator{}}, nil
 }

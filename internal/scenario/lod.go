@@ -165,10 +165,6 @@ type pedestrian struct {
 
 	cur  *client.Client   // live client while promoted
 	snap *client.Snapshot // durable state between promotions
-	// epoch guards movement tickers: each promote/demote bumps it, so a
-	// ticker scheduled for an earlier leg of churn becomes a no-op instead
-	// of dragging a stale position along.
-	epoch int
 
 	direct     bool
 	firstPromo time.Duration
@@ -186,9 +182,21 @@ func farFieldMAC(id int) ieee80211.MAC {
 
 // tierManager owns the far-field tier: it spawns the statistical
 // population, turns routes into promotion windows via the site grid, and
-// performs the promote/demote transitions during the run.
+// performs the promote/demote transitions during the run. Each window's
+// promote and demote run on the engine of the site that owns its boundary
+// — every site's is the same engine on the serial engine — so the tier
+// accounting is kept per site, touched only by the engine running that
+// site, and folded after the run.
+//
+// On the partitioned engine a pedestrian's consecutive windows at
+// different sites hand its snapshot and RNG stream across partitions
+// without locks: promotion boundaries are validated disjoint, so between a
+// demote at one site and the next promote at another the pedestrian walks
+// at least the boundary gap — at least one lookahead of virtual time,
+// hence at least one coordinator barrier, whose join publishes the
+// demote's writes.
 type tierManager struct {
-	env   *runEnv
+	envs  []*runEnv
 	cfg   FarFieldConfig
 	sites []*site
 
@@ -197,54 +205,73 @@ type tierManager struct {
 
 	peds []*pedestrian
 
+	perSite []tierSite
+
+	// mDemotions is shared by every site (counters are atomic); the other
+	// live handles are per site. All are nil-safe no-ops when
+	// observability is off.
+	mDemotions *obs.Counter
+}
+
+// tierSite is one site's tier accounting plus its live metric handles.
+// promotedNow and peakPromoted are per site because a global count would
+// need cross-partition writes; the global peak is rebuilt after the run
+// from the per-site delta logs.
+type tierSite struct {
+	stats        FarFieldSite
 	promotedNow  int
 	peakPromoted int
-	promotions   int
 	demotions    int
-	siteStats    []FarFieldSite
+	// deltas logs every tier transition at this site as (time, ±1); the
+	// post-run merge across sites — ordered by time, site index breaking
+	// ties — yields a global occupancy walk independent of the engine and
+	// the partition count.
+	deltas []tierDelta
 
-	// Live registry handles (all nil-safe no-ops when observability is
-	// off) so a monitor sees the tier churn as it happens.
-	mPromotions []*obs.Counter // per site
-	mDemotions  *obs.Counter
+	mPromotions *obs.Counter
 	gPromoted   *obs.Gauge
 	gPeak       *obs.Gauge
 }
 
-func newTierManager(env *runEnv, cfg FarFieldConfig, sites []*site) (*tierManager, error) {
+type tierDelta struct {
+	at    time.Duration
+	delta int
+}
+
+func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierManager, error) {
 	grid, err := geo.NewHashGrid(cfg.Radius)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: far-field grid: %w", err)
 	}
-	tm := &tierManager{env: env, cfg: cfg, sites: sites, grid: grid}
+	tm := &tierManager{envs: envs, cfg: cfg, sites: sites, grid: grid, perSite: make([]tierSite, len(sites))}
 	for i, st := range sites {
 		tm.grid.Insert(int32(i), st.venue.Position)
 		tm.sitePos = append(tm.sitePos, st.venue.Position)
-		tm.siteStats = append(tm.siteStats, FarFieldSite{Name: st.venue.Name})
-	}
-	if env.rt != nil {
-		for _, st := range sites {
-			tm.mPromotions = append(tm.mPromotions,
-				env.rt.Metrics.Counter("lod_promotions", env.siteLabels(st.venue.Name)...))
+		s := &tm.perSite[i]
+		s.stats = FarFieldSite{Name: st.venue.Name}
+		if env := envs[i]; env.rt != nil {
+			labels := env.siteLabels(st.venue.Name)
+			s.mPromotions = env.rt.Metrics.Counter("lod_promotions", labels...)
+			s.gPromoted = env.rt.Metrics.Gauge("lod_promoted_now", labels...)
+			s.gPeak = env.rt.Metrics.Gauge("lod_promoted_peak", labels...)
+			tm.mDemotions = env.rt.Metrics.Counter("lod_demotions")
 		}
-		tm.mDemotions = env.rt.Metrics.Counter("lod_demotions")
-		tm.gPromoted = env.rt.Metrics.Gauge("lod_promoted_now")
-		tm.gPeak = env.rt.Metrics.Gauge("lod_promoted_peak")
 	}
 	return tm, nil
 }
 
 // spawn creates the far-field population for one run of the given horizon
 // (engine time runs 0..horizon regardless of slot; the slot only selects
-// profiles). All scheduling happens here, before the engine runs, in
-// pedestrian-ID order: arrivals, itineraries and promotion windows are
-// fully determined by the spawn seed alone. The run RNG is never touched.
+// profiles). All scheduling happens here, before the run, in pedestrian-ID
+// order, each window on its owning site's engine: arrivals, itineraries and
+// promotion windows are fully determined by the spawn seed alone. The env
+// RNG streams are never touched.
 func (tm *tierManager) spawn(horizon time.Duration) {
 	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
 	for id := 0; id < tm.cfg.Pedestrians; id++ {
 		seed := spawn.Int63()
 		p := &pedestrian{id: id, mac: farFieldMAC(id), rng: rand.New(rand.NewSource(seed))}
-		p.direct = p.rng.Float64() < tm.env.cfg.DirectProberFraction
+		p.direct = p.rng.Float64() < tm.envs[0].cfg.DirectProberFraction
 		arrival := time.Duration(p.rng.Int63n(int64(horizon)))
 		entry := geo.Pt(
 			tm.cfg.Entry.Min.X+p.rng.Float64()*tm.cfg.Entry.Width(),
@@ -254,8 +281,9 @@ func (tm *tierManager) spawn(horizon time.Duration) {
 		tm.peds = append(tm.peds, p)
 		for _, w := range tm.windows(p.route) {
 			w := w
-			tm.env.engine.At(w.start, func() { tm.promote(p, w) })
-			tm.env.engine.At(w.end, func() { tm.demote(p) })
+			engine := tm.envs[w.site].engine
+			engine.At(w.start, func() { tm.promote(p, w) })
+			engine.At(w.end, func() { tm.demote(p, w.site) })
 		}
 	}
 }
@@ -270,9 +298,7 @@ func (tm *tierManager) windows(route mobility.Route) []promoWindow {
 // intersection against every candidate site from the grid, per dwell leg a
 // point-in-disk test. The grid query radius — half the leg length plus the
 // promotion radius — routinely exceeds the grid's cell size, which is why
-// AppendNeighborhood scans as many rings as the radius needs. Shared by
-// the classic tier manager and the partitioned one, whose windows must be
-// identical for a partitioned run to mirror the serial reference.
+// AppendNeighborhood scans as many rings as the radius needs.
 func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
 	var raw []promoWindow
 	var cand []int32
@@ -337,21 +363,23 @@ func sortSiteIDs(ids []int32) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
-// promote raises a pedestrian to full client fidelity. The first promotion
-// materialises the phone — PNL, behaviour flags and scan jitter all drawn
-// from the pedestrian's private stream — and later ones resume the
-// suspended snapshot, so a phone keeps its MAC, stats, sequence counter
-// and unmasked-twin memory across boundaries.
+// promote raises a pedestrian to full client fidelity, on the engine of
+// the site owning the window's boundary. The first promotion materialises
+// the phone — PNL, behaviour flags and scan jitter all drawn from the
+// pedestrian's private stream — and later ones resume the suspended
+// snapshot, so a phone keeps its MAC, stats, sequence counter and
+// unmasked-twin memory across boundaries.
 func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	if p.cur != nil {
 		return
 	}
-	now := tm.env.engine.Now()
+	env := tm.envs[w.site]
+	now := env.engine.Now()
 	pos := p.route.At(now)
 	var c *client.Client
 	var err error
 	if p.snap == nil {
-		cfg := tm.env.cfg
+		cfg := env.cfg
 		// The PNL is drawn at the owning site's venue position — the same
 		// canonical positions the venue populations use — not the exact
 		// boundary-crossing point. pnl.Model caches venue-local pools on a
@@ -359,9 +387,9 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 		// query point, so querying at arbitrary city coordinates would
 		// poison cells that classic runs on the same shared World read
 		// later, perturbing their results.
-		list := tm.env.model.NewList(p.rng, tm.sites[w.site].venue.Position)
+		list := env.model.NewList(p.rng, tm.sites[w.site].venue.Position)
 		if p.direct {
-			list = tm.env.model.AugmentUnsafe(p.rng, list)
+			list = env.model.AugmentUnsafe(p.rng, list)
 		}
 		ccfg := client.Config{
 			MAC:           p.mac,
@@ -370,10 +398,10 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 			ScanInterval:  time.Duration(float64(cfg.ScanInterval) * (0.7 + 0.6*p.rng.Float64())),
 			CanaryProbing: cfg.CanaryFraction > 0 && p.rng.Float64() < cfg.CanaryFraction,
 			RandomizeMAC:  cfg.RandomizeMACFraction > 0 && p.rng.Float64() < cfg.RandomizeMACFraction,
-			Obs:           tm.env.rt,
+			Obs:           env.rt,
 		}
 		cfg.applyRandomization(&ccfg)
-		c, err = client.New(tm.env.engine, tm.env.medium, p.rng, ccfg)
+		c, err = client.New(env.engine, env.medium, p.rng, ccfg)
 		if err == nil {
 			c.SetPos(pos)
 			err = c.Start()
@@ -382,7 +410,7 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 			p.firstPromo = now
 		}
 	} else {
-		c, err = client.Resume(tm.env.engine, tm.env.medium, p.rng, *p.snap)
+		c, err = client.Resume(env.engine, env.medium, p.rng, *p.snap)
 		if err == nil {
 			c.SetPos(pos)
 		}
@@ -394,74 +422,93 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	}
 	p.cur = c
 	p.snap = nil
-	p.epoch++
 	p.promotions++
-	tm.promotions++
-	tm.siteStats[w.site].Promotions++
-	tm.promotedNow++
-	if tm.promotedNow > tm.peakPromoted {
-		tm.peakPromoted = tm.promotedNow
+	s := &tm.perSite[w.site]
+	s.stats.Promotions++
+	s.promotedNow++
+	if s.promotedNow > s.peakPromoted {
+		s.peakPromoted = s.promotedNow
 	}
-	if tm.env.rt != nil {
-		tm.mPromotions[w.site].Inc()
-		tm.gPromoted.Set(float64(tm.promotedNow))
-		tm.gPeak.SetMax(float64(tm.peakPromoted))
-		tm.env.rt.Event(now, obs.EventPromotion, p.mac.String(),
+	s.deltas = append(s.deltas, tierDelta{at: now, delta: 1})
+	if env.rt != nil {
+		s.mPromotions.Inc()
+		s.gPromoted.Set(float64(s.promotedNow))
+		s.gPeak.SetMax(float64(s.peakPromoted))
+		env.rt.Event(now, obs.EventPromotion, p.mac.String(),
 			"promoted near "+tm.sites[w.site].venue.Name)
 	}
-	tm.driveMovement(p)
+	tm.driveMovement(p, env)
 }
 
-// demote suspends a promoted client back to the statistical tier.
-func (tm *tierManager) demote(p *pedestrian) {
+// demote suspends a promoted client back to the statistical tier, on the
+// engine of the site whose boundary is being exited.
+func (tm *tierManager) demote(p *pedestrian, siteIdx int) {
 	if p.cur == nil {
 		return
 	}
-	p.epoch++
+	env := tm.envs[siteIdx]
 	snap, err := p.cur.Suspend()
 	p.cur = nil
 	if err == nil {
 		p.snap = &snap
 	}
-	p.lastDemote = tm.env.engine.Now()
-	tm.demotions++
-	tm.promotedNow--
-	if tm.env.rt != nil {
+	p.lastDemote = env.engine.Now()
+	s := &tm.perSite[siteIdx]
+	s.demotions++
+	s.promotedNow--
+	s.deltas = append(s.deltas, tierDelta{at: p.lastDemote, delta: -1})
+	if env.rt != nil {
 		tm.mDemotions.Inc()
-		tm.gPromoted.Set(float64(tm.promotedNow))
-		tm.env.rt.Event(p.lastDemote, obs.EventDemotion, p.mac.String(),
+		s.gPromoted.Set(float64(s.promotedNow))
+		env.rt.Event(p.lastDemote, obs.EventDemotion, p.mac.String(),
 			"suspended to far-field tier")
 	}
 }
 
 // driveMovement walks a promoted client along its route, 2 s steps like
-// the venue walkers. The ticker dies on the next epoch bump (demotion, or
-// re-promotion churn).
-func (tm *tierManager) driveMovement(p *pedestrian) {
+// the venue walkers, on the promoting site's engine. The ticker captures
+// the client and consults only its state: a demoted client is Departed
+// forever, so a stale ticker dies without reading pedestrian fields that a
+// later promotion — on another partition, possibly — may be rewriting
+// (every promotion materialises a fresh client, so a live captured client
+// always means the ticker is current).
+func (tm *tierManager) driveMovement(p *pedestrian, env *runEnv) {
 	const step = 2 * time.Second
-	epoch := p.epoch
+	c := p.cur
 	var tick func()
 	tick = func() {
-		if p.epoch != epoch || p.cur == nil {
+		if c.State() == client.StateDeparted {
 			return
 		}
-		p.cur.SetPos(p.route.At(tm.env.engine.Now()))
-		tm.env.engine.Schedule(step, tick)
+		c.SetPos(p.route.At(env.engine.Now()))
+		env.engine.Schedule(step, tick)
 	}
-	tm.env.engine.Schedule(step, tick)
+	env.engine.Schedule(step, tick)
 }
 
-// result assembles the far-field accounting after the run. Clients still
-// promoted at the horizon are read live; everyone else from their last
-// snapshot. siteByMAC maps attacker MACs to site indices for per-site hit
-// counts.
+// result assembles the far-field accounting after the run, folding the
+// per-site accounting. The global peak is the maximum of the occupancy walk
+// over all deltas merged by (time, site) — an ordering the run itself never
+// depends on, so the value is the same on either engine and at any
+// partition count. Clients still promoted at the horizon are read live;
+// everyone else from their last snapshot.
 func (tm *tierManager) result(now time.Duration, engines []*core.Engine) *FarFieldResult {
-	res := &FarFieldResult{
-		Pedestrians:  len(tm.peds),
-		Promotions:   tm.promotions,
-		Demotions:    tm.demotions,
-		PeakPromoted: tm.peakPromoted,
-		Sites:        append([]FarFieldSite(nil), tm.siteStats...),
+	res := &FarFieldResult{Pedestrians: len(tm.peds)}
+	var deltas []tierDelta
+	for i := range tm.perSite {
+		s := &tm.perSite[i]
+		res.Promotions += s.stats.Promotions
+		res.Demotions += s.demotions
+		res.Sites = append(res.Sites, s.stats)
+		deltas = append(deltas, s.deltas...)
+	}
+	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].at < deltas[j].at })
+	occupancy := 0
+	for _, d := range deltas {
+		occupancy += d.delta
+		if occupancy > res.PeakPromoted {
+			res.PeakPromoted = occupancy
+		}
 	}
 	siteByMAC := make(map[ieee80211.MAC]int, len(tm.sites))
 	for i, st := range tm.sites {

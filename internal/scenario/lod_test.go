@@ -179,10 +179,9 @@ func TestFarFieldWindows(t *testing.T) {
 	grid.Insert(0, geo.Pt(500, 0))
 	grid.Insert(1, geo.Pt(560, 0))
 	tm := &tierManager{
-		cfg:       FarFieldConfig{Radius: 100},
-		grid:      grid,
-		sitePos:   []geo.Point{geo.Pt(500, 0), geo.Pt(560, 0)},
-		siteStats: []FarFieldSite{{}, {}},
+		cfg:     FarFieldConfig{Radius: 100},
+		grid:    grid,
+		sitePos: []geo.Point{geo.Pt(500, 0), geo.Pt(560, 0)},
 	}
 
 	// Leg 1: walk 0→1000 along y=0 between minutes 0 and 10, crossing both

@@ -1,33 +1,37 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"time"
 
-	"cityhunter/internal/client"
-	"cityhunter/internal/geo"
 	"cityhunter/internal/mobility"
 	"cityhunter/internal/obs"
 	"cityhunter/internal/pnl"
 	"cityhunter/internal/sim"
-	"cityhunter/internal/stats"
 )
 
-// This file is the partitioned deployment path: the same env → knowledge →
-// sites → populations → collection layering as RunDeploymentContext, but
-// executed by a sim.Partitioned coordinator that runs each site partition
-// on its own goroutine in lookahead-bounded windows.
+// This file holds what only the partitioned engine needs: its admission
+// checks, the lookahead derivation, and the per-site environments. The
+// deployment itself runs through the one driver in deployment.go, whose
+// per-site handles (envs[i]) are distinct here and one shared env on the
+// serial engine. The driver branches on the engine at exactly these
+// points:
+//
+//   - env construction: newSerialDeployment or newPartitionedDeployment,
+//     plus the post-run journal merge and the "partitions" feed label;
+//   - every: an engine event, or a coordinator barrier event;
+//   - run / now: the serial engine, or the coordinator;
+//   - handoff: a scanning walk, or Suspend → coord.Post → Resume.
 //
 // Partitioned mode is a second deterministic semantics, not a parallel
-// re-execution of the classic one. The classic path funnels every site's
+// re-execution of the serial one. The serial engine funnels every site's
 // population draws through ONE run RNG, so its event stream is inherently
-// serial; the partitioned path gives every site its own RNG stream, radio
-// shard, and MAC space, which is what makes its results identical at any
-// partition count and any GOMAXPROCS — a one-partition run IS the serial
+// serial; the partitioned engine gives every site its own RNG stream,
+// radio shard, and MAC space, which is what makes its results identical at
+// any partition count and any GOMAXPROCS — a one-partition run IS the
 // reference the determinism tests compare against. The semantic deltas,
 // and why each is forced, are catalogued in DESIGN §5.13:
 //
@@ -41,23 +45,6 @@ import (
 //     has zero lookahead, the antithesis of a conservative scheme.
 //   - Span traces are rejected: obs.Trace is not safe for concurrent
 //     track allocation.
-
-// partDeployment is the partitioned counterpart of deploymentRun: the
-// roaming coordinator plus every per-site handle the window closures need.
-type partDeployment struct {
-	coord  *sim.Partitioned
-	envs   []*runEnv // one per site; engine/medium/rng/rt are site-local
-	sites  []*site
-	pops   []*population
-	partOf []int // site index → partition index
-
-	transit      mobility.TransitModel
-	roamFraction float64
-	// siteRoams counts completed transits by DESTINATION site, each
-	// incremented only by the partition that owns it; the sum replaces the
-	// classic single roams counter.
-	siteRoams []int
-}
 
 // partitionCount resolves the configured partition count against the site
 // count: AutoPartitions means one partition per site, and an explicit
@@ -151,23 +138,18 @@ func partitionLookahead(dcfg DeploymentConfig, transit mobility.TransitModel, ff
 	return look, nil
 }
 
-// runPartitionedDeployment is the Partitions != 0 body of
-// RunDeploymentContext; dcfg passed structural validation and cfg is
-// normalized with its Venue cleared.
-func runPartitionedDeployment(ctx context.Context, dcfg DeploymentConfig, cfg Config, slot int, duration time.Duration, transit mobility.TransitModel, syncEvery time.Duration, radioRange float64) (*DeploymentResult, error) {
+// newPartitionedDeployment builds the partitioned engine's environment:
+// the coordinator over its partition engines, and per site an env with the
+// site's partition engine, its own radio shard (same delivery radius as the
+// serial medium), RNG stream, MAC space and journal. dcfg passed structural
+// validation, cfg is normalized with its Venue cleared, and ff is the
+// normalized far-field tier or nil.
+func newPartitionedDeployment(dcfg DeploymentConfig, cfg Config, ff *FarFieldConfig, transit mobility.TransitModel, duration time.Duration, radioRange float64) (*deployment, error) {
 	if dcfg.Knowledge == Shared {
 		return nil, fmt.Errorf("scenario: partitioned execution cannot run a shared knowledge plane (one database behind all sites has zero lookahead); use isolated or periodic-sync")
 	}
 	if cfg.SpanTrace {
 		return nil, fmt.Errorf("scenario: partitioned execution cannot record span traces (obs.Trace is single-threaded); disable SpanTrace or Partitions")
-	}
-	var ff *FarFieldConfig
-	if dcfg.FarField != nil {
-		f, err := dcfg.FarField.normalized(dcfg.Sites, radioRange, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ff = &f
 	}
 	look, err := partitionLookahead(dcfg, transit, ff, duration)
 	if err != nil {
@@ -178,33 +160,35 @@ func runPartitionedDeployment(ctx context.Context, dcfg DeploymentConfig, cfg Co
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	partOf := make([]int, len(dcfg.Sites))
-	for i := range partOf {
-		partOf[i] = i % nparts
+	d := &deployment{coord: coord, partOf: make([]int, len(dcfg.Sites)), envs: make([]*runEnv, len(dcfg.Sites))}
+	for i := range d.partOf {
+		d.partOf[i] = i % nparts
 	}
 
 	// Observability: one shared registry (counters are atomic, and every
 	// gauge series is either site-labelled or monotone), one coordinator
 	// runtime, and one journal per site so each partition records events
-	// race-free; the per-site journals merge by timestamp after the run.
+	// race-free; the driver merges the journals by timestamp after the run.
 	wantObs := cfg.Metrics || cfg.FlightRecorderCap > 0 || cfg.Publisher != nil
-	var crt *obs.Runtime
 	var reg *obs.Registry
 	if wantObs {
-		crt = &obs.Runtime{}
+		d.rt = &obs.Runtime{}
 		if cfg.Metrics || cfg.Publisher != nil {
 			reg = obs.NewRegistry()
-			crt.Metrics = reg
+			d.rt.Metrics = reg
 		}
 		if cfg.FlightRecorderCap > 0 {
-			crt.Journal = obs.NewJournal(cfg.FlightRecorderCap)
-			crt.Journal.Overflow = reg.Counter("obs_journal_overwritten_events")
+			d.rt.Journal = obs.NewJournal(cfg.FlightRecorderCap)
+			d.rt.Journal.Overflow = reg.Counter("obs_journal_overwritten_events")
 		}
 		for i := 0; i < coord.Parts(); i++ {
-			coord.Part(i).Instrument(crt)
+			coord.Part(i).Instrument(d.rt)
 		}
 	}
 
+	// The PNL model is shared — its pool cache is mutex-guarded and a pure
+	// function of the query position, so concurrent use cannot perturb
+	// results.
 	model := cfg.PNL
 	if model == nil {
 		model, err = pnl.NewModel(cfg.City.DB, cfg.HeatMap, pnl.DefaultConfig())
@@ -212,15 +196,8 @@ func runPartitionedDeployment(ctx context.Context, dcfg DeploymentConfig, cfg Co
 			return nil, fmt.Errorf("scenario: build pnl model: %w", err)
 		}
 	}
-
-	// Per-site environments: the site's partition engine, its own radio
-	// shard (same delivery radius as the classic shared medium), its own
-	// RNG stream, its own journal. The PNL model is shared — its pool
-	// cache is mutex-guarded and a pure function of the query position, so
-	// concurrent use cannot perturb results.
-	envs := make([]*runEnv, len(dcfg.Sites))
 	for i := range dcfg.Sites {
-		eng := coord.Part(partOf[i])
+		eng := coord.Part(d.partOf[i])
 		var mediumOpts []sim.MediumOption
 		if cfg.FrameLoss > 0 {
 			mediumOpts = append(mediumOpts, sim.WithFrameLoss(cfg.FrameLoss, cfg.Seed+5+1000*int64(i)))
@@ -235,134 +212,18 @@ func runPartitionedDeployment(ctx context.Context, dcfg DeploymentConfig, cfg Co
 			}
 			med.Instrument(rt)
 		}
-		envs[i] = &runEnv{
+		d.envs[i] = &runEnv{
 			cfg:        cfg,
 			rng:        rand.New(rand.NewSource(cfg.Seed + 500 + 1000*int64(i))),
 			engine:     eng,
 			medium:     med,
 			rt:         rt,
 			model:      model,
+			macs:       &macAllocator{space: siteMACSpace(i)},
 			labelSites: true,
 		}
 	}
-
-	// Knowledge layer: per-site strategy sets with the classic per-site
-	// seeds. Engine gauges get a site label — N engines setting one shared
-	// gauge from N partitions would race.
-	sites := make([]*site, len(dcfg.Sites))
-	for i, v := range dcfg.Sites {
-		set, err := buildStrategy(cfg, []geo.Point{v.Position}, cfg.Seed+1+1000*int64(i))
-		if err != nil {
-			return nil, err
-		}
-		if set.chEngine != nil {
-			set.chEngine.Instrument(envs[i].rt, envs[i].siteLabels(v.Name)...)
-		}
-		sites[i], err = deploySite(envs[i], v, deploymentSiteIdentity(i), set)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	feed := startPartFeed(coord, crt, cfg, slot, sites, map[string]string{
-		"knowledge":  dcfg.Knowledge.String(),
-		"sites":      fmt.Sprintf("%d", len(sites)),
-		"partitions": fmt.Sprintf("%d", nparts),
-	})
-	schedulePartSampling(envs, sites)
-	if dcfg.Knowledge == PeriodicSync {
-		schedulePartKnowledgeSync(coord, sites, syncEvery)
-	}
-
-	// Population layer: per-site MAC spaces and per-site arrival streams,
-	// with dwell endings routed through the partitioned roaming hook.
-	d := &partDeployment{
-		coord: coord, envs: envs, sites: sites, partOf: partOf,
-		transit: transit, roamFraction: dcfg.RoamFraction,
-		siteRoams: make([]int, len(sites)),
-	}
-	attackers := attackerSet(sites)
-	slotStart := time.Duration(slot) * time.Hour
-	pops := make([]*population, len(dcfg.Sites))
-	for i, v := range dcfg.Sites {
-		arrivals, err := mobility.Arrivals(envs[i].rng, scaledProfile(v.Profile, cfg.ArrivalScale), slotStart, duration)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: site %q: %w", v.Name, err)
-		}
-		pop := newPopulation(envs[i], v, sites[i].id.legitMAC, attackers, &macAllocator{space: siteMACSpace(i)})
-		pop.siteIndex = i
-		pop.endDwell = d.endDwell
-		pops[i] = pop
-		pop.spawnArrivals(arrivals, slotStart, v.Groups(slot), duration)
-	}
-	d.pops = pops
-
-	var tiers *partTierManager
-	if ff != nil {
-		tiers, err = newPartTierManager(envs, *ff, sites)
-		if err != nil {
-			return nil, err
-		}
-		tiers.spawn(duration)
-	}
-
-	_, runErr := coord.RunContext(ctx, duration)
-
-	// Collection layer — single-threaded again; every partition goroutine
-	// was joined before RunContext returned.
-	simulated := duration
-	if runErr != nil {
-		simulated = coord.Now()
-	}
-	engines := uniqueEngines(sites)
-	roams := 0
-	for _, r := range d.siteRoams {
-		roams += r
-	}
-	dres := &DeploymentResult{
-		Knowledge: dcfg.Knowledge,
-		Roams:     roams,
-		Duration:  simulated,
-	}
-	for i, st := range sites {
-		res := assembleResult(envs[i], st, pops[i], slot, simulated, engines)
-		dres.Sites = append(dres.Sites, res)
-		dres.Outcomes = append(dres.Outcomes, res.Outcomes...)
-	}
-	dres.Tally = stats.NewTally(dres.Outcomes)
-	if tiers != nil {
-		dres.FarField = tiers.result(simulated, engines)
-		if crt != nil && crt.Metrics != nil {
-			f := dres.FarField
-			crt.Metrics.Counter("scenario_farfield_pedestrians").Add(int64(f.Pedestrians))
-			crt.Metrics.Counter("scenario_farfield_promotions").Add(int64(f.Promotions))
-			crt.Metrics.Counter("scenario_farfield_demotions").Add(int64(f.Demotions))
-			crt.Metrics.Gauge("scenario_farfield_peak_promoted").Set(float64(f.PeakPromoted))
-		}
-	}
-	if crt != nil {
-		if cfg.FlightRecorderCap > 0 {
-			journals := []*obs.Journal{crt.Journal}
-			for _, env := range envs {
-				journals = append(journals, env.rt.Journal)
-			}
-			crt.Journal = mergeJournals(cfg.FlightRecorderCap, journals)
-		}
-		for i, res := range dres.Sites {
-			emitRunTelemetry(crt, envs[i], pops[i], res)
-		}
-		for _, res := range dres.Sites {
-			attachObservability(crt, res)
-		}
-		dres.Metrics = crt.Metrics.Snapshot()
-		dres.Journal = crt.Journal
-	}
-	feed.finish(simulated, runErr)
-	if runErr != nil {
-		return dres, fmt.Errorf("scenario: deployment cancelled after %v of %v: %w",
-			simulated, duration, runErr)
-	}
-	return dres, nil
+	return d, nil
 }
 
 // mergeJournals folds per-partition journals into one, ordered by virtual
@@ -381,187 +242,4 @@ func mergeJournals(capacity int, journals []*obs.Journal) *obs.Journal {
 		merged.Record(e.At, e.Type, e.Actor, e.Detail)
 	}
 	return merged
-}
-
-// endDwell mirrors deploymentRun.endDwell with the current site's own RNG
-// stream: it runs on the partition that owns the member's current site.
-func (d *partDeployment) endDwell(m *member) {
-	if m.c.State() == client.StateDeparted {
-		return
-	}
-	rng := d.envs[m.site].rng
-	if len(d.sites) < 2 || rng.Float64() >= d.roamFraction {
-		m.c.Depart()
-		return
-	}
-	target := rng.Intn(len(d.sites) - 1)
-	if target >= m.site {
-		target++
-	}
-	d.startTransit(m, target)
-}
-
-// startTransit hands the phone to the target site: the walk itself is
-// radio-silent. The classic engine keeps the phone attached and scanning
-// while it walks; under partition-local radio there is nothing for it to
-// hear mid-walk (the RF-gap validation guarantees the leg is out of every
-// site's range except for the entry/exit fringes), so the phone suspends
-// at departure and resumes — same MAC, PNL, stats, sequence counter,
-// unmasked twins — when the transit message arrives at the target
-// partition, at least one lookahead later by construction.
-func (d *partDeployment) startTransit(m *member, target int) {
-	src := m.site
-	env := d.envs[src]
-	dest := d.sites[target].venue
-	entry := mobility.StaticPos(env.rng, dest.Position, dest.RadioRange*0.9)
-	path := d.transit.Path(env.rng, m.c.Pos(), entry)
-	snap, err := m.c.Suspend()
-	if err != nil {
-		return
-	}
-	m.leg++
-	m.legStart = env.engine.Now()
-	arriveAt := m.legStart + path.Duration
-	d.coord.Post(d.partOf[src], src, arriveAt, d.partOf[target], func() {
-		d.arrive(m, target, entry, snap)
-	})
-}
-
-// arrive resumes the phone on the target site's partition and starts a
-// fresh dwell there, drawn from the target's own streams.
-func (d *partDeployment) arrive(m *member, target int, entry geo.Point, snap client.Snapshot) {
-	pop := d.pops[target]
-	env := d.envs[target]
-	c, err := client.Resume(env.engine, env.medium, pop.rng, snap)
-	if err != nil {
-		return
-	}
-	c.SetPos(entry)
-	m.c = c
-	d.siteRoams[target]++
-	m.roams++
-	m.site = target
-	venue := pop.venue
-	now := env.engine.Now()
-	moving := pop.rng.Float64() < venue.MovingFraction
-	var dwell time.Duration
-	if moving {
-		dwell = venue.MovingDwell.SampleDwell(pop.rng)
-	} else {
-		dwell = venue.StaticDwell.SampleDwell(pop.rng)
-	}
-	m.leg++
-	m.legStart = now
-	m.departAt = now + dwell
-	if moving {
-		path := mobility.CorridorPath(pop.rng, venue.Position, venue.RadioRange, dwell)
-		m.c.SetPos(path.At(0))
-		pop.scheduleMove(m, path)
-	} else {
-		m.c.SetPos(mobility.StaticPos(pop.rng, venue.Position, venue.RadioRange*0.9))
-	}
-	env.engine.At(m.departAt, func() { pop.finishDwell(m) })
-}
-
-// schedulePartSampling arms the periodic engine-state sampler per site, on
-// the site's own partition. The partitioned path never shares a strategy
-// set between sites (the Shared plane is rejected), so per-site sampling
-// equals the classic unique-engine sweep.
-func schedulePartSampling(envs []*runEnv, sites []*site) {
-	for i, st := range sites {
-		env := envs[i]
-		if env.cfg.SampleEvery <= 0 {
-			return
-		}
-		eng, mana := st.set.chEngine, st.set.mana
-		if eng == nil && mana == nil {
-			continue
-		}
-		var sample func()
-		sample = func() {
-			if eng != nil {
-				eng.SampleState(env.engine.Now())
-			}
-			if mana != nil {
-				mana.SampleSize(env.engine.Now())
-			}
-			env.engine.Schedule(env.cfg.SampleEvery, sample)
-		}
-		env.engine.Schedule(0, sample)
-	}
-}
-
-// schedulePartKnowledgeSync arms the PeriodicSync exchange as a global
-// event: it runs at an exact window barrier, when every partition clock
-// reads the sync time and none is running, so absorbing hits into the
-// other sites' engines needs no locks and lands in deterministic site
-// order.
-func schedulePartKnowledgeSync(coord *sim.Partitioned, sites []*site, every time.Duration) {
-	engines := uniqueEngines(sites)
-	if len(engines) < 2 {
-		return
-	}
-	consumed := make([]int, len(engines))
-	coord.GlobalEvery(every, every, func() {
-		now := coord.Now()
-		for i, src := range engines {
-			hits := src.Hits()
-			for _, h := range hits[consumed[i]:] {
-				for j, dst := range engines {
-					if j != i {
-						dst.AbsorbHit(now, h.SSID)
-					}
-				}
-			}
-			consumed[i] = len(hits)
-		}
-	})
-}
-
-// partFeed is the partitioned runFeed: the snapshot tick is a coordinator
-// global event, so the registry is only read at barriers.
-type partFeed struct {
-	rp  obs.RunPublisher
-	crt *obs.Runtime
-}
-
-func startPartFeed(coord *sim.Partitioned, crt *obs.Runtime, cfg Config, slot int, sites []*site, extra map[string]string) *partFeed {
-	if cfg.Publisher == nil {
-		return nil
-	}
-	labels := map[string]string{}
-	for k, v := range cfg.RunLabels {
-		labels[k] = v
-	}
-	labels["attack"] = cfg.Attack.String()
-	labels["seed"] = fmt.Sprintf("%d", cfg.Seed)
-	for k, v := range extra {
-		labels[k] = v
-	}
-	label := cfg.RunLabel
-	if label == "" {
-		label = fmt.Sprintf("%d sites/%s/slot%d", len(sites), cfg.Attack, slot)
-	}
-	rp := cfg.Publisher.StartRun(obs.RunInfo{Kind: "deployment", Label: label, Labels: labels})
-	crt.Publish = rp
-	for _, st := range sites {
-		crt.Event(0, obs.EventSiteDeploy, st.venue.Name,
-			fmt.Sprintf("attacker %s at (%.0f,%.0f)", st.id.attackerMAC, st.venue.Position.X, st.venue.Position.Y))
-	}
-	every := cfg.PublishEvery
-	if every <= 0 {
-		every = DefaultPublishEvery
-	}
-	coord.GlobalEvery(0, every, func() {
-		rp.PublishSnapshot(coord.Now(), crt.Metrics.Snapshot())
-	})
-	return &partFeed{rp: rp, crt: crt}
-}
-
-func (f *partFeed) finish(simulated time.Duration, runErr error) {
-	if f == nil {
-		return
-	}
-	f.rp.PublishSnapshot(simulated, f.crt.Metrics.Snapshot())
-	f.rp.FinishRun(simulated, runErr)
 }

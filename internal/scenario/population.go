@@ -35,9 +35,10 @@ type member struct {
 }
 
 // macAllocator hands out unique, deterministic client MACs (locally
-// administered). Classic deployments share one allocator across their
-// per-site populations so phones stay unique city-wide; partitioned
-// deployments give each site its own allocator in a per-site space
+// administered). It lives on the runEnv: serial deployments share the one
+// env's allocator across their per-site populations so phones stay unique
+// city-wide; partitioned deployments give each site's env its own
+// allocator in a per-site space
 // (allocation order inside one shared space would depend on how arrivals
 // interleave across partitions).
 type macAllocator struct {
@@ -94,11 +95,11 @@ type population struct {
 	macs    *macAllocator
 }
 
-func newPopulation(env *runEnv, venue Venue, legitMAC ieee80211.MAC, attackers map[ieee80211.MAC]bool, macs *macAllocator) *population {
+func newPopulation(env *runEnv, venue Venue, legitMAC ieee80211.MAC, attackers map[ieee80211.MAC]bool) *population {
 	return &population{
 		engine: env.engine, medium: env.medium, rng: env.rng,
 		model: env.model, cfg: env.cfg, obs: env.rt,
-		venue: venue, legitMAC: legitMAC, attackers: attackers, macs: macs,
+		venue: venue, legitMAC: legitMAC, attackers: attackers, macs: env.macs,
 	}
 }
 

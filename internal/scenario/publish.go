@@ -13,20 +13,22 @@ import (
 // plots (hit counts, association counts) stay smooth.
 const DefaultPublishEvery = 5 * time.Second
 
-// runFeed couples a registered run's publisher handle with the engine
-// cadence driving it.
+// runFeed couples a registered run's publisher handle with the runtime
+// whose registry it snapshots.
 type runFeed struct {
-	rp  obs.RunPublisher
-	env *runEnv
+	rp obs.RunPublisher
+	rt *obs.Runtime
 }
 
 // startFeed registers the run with the configured publisher (nil-safe: no
-// publisher, no feed), announces its sites, and arms the virtual-time
-// snapshot tick. The tick is an ordinary engine event that only reads the
-// registry — it consumes no randomness and mutates no simulation state, so
-// a published run is event-for-event identical to an unpublished one.
-func startFeed(env *runEnv, kind string, slot int, sites []*site, extra map[string]string) *runFeed {
-	cfg := env.cfg
+// publisher, no feed), announces its sites on rt, and arms the
+// virtual-time snapshot tick through every, reading the clock through now:
+// an engine's for a single run, the deployment driver's for a deployment.
+// The tick only reads the registry — it consumes no randomness and mutates
+// no simulation state, so a published run is event-for-event identical to
+// an unpublished one.
+func startFeed(rt *obs.Runtime, cfg Config, every func(delay, period time.Duration, fn func()), now func() time.Duration,
+	kind string, slot int, sites []*site, extra map[string]string) *runFeed {
 	if cfg.Publisher == nil {
 		return nil
 	}
@@ -48,19 +50,19 @@ func startFeed(env *runEnv, kind string, slot int, sites []*site, extra map[stri
 		}
 	}
 	rp := cfg.Publisher.StartRun(obs.RunInfo{Kind: kind, Label: label, Labels: labels})
-	env.rt.Publish = rp
+	rt.Publish = rp
 	for _, st := range sites {
-		env.rt.Event(0, obs.EventSiteDeploy, st.venue.Name,
+		rt.Event(0, obs.EventSiteDeploy, st.venue.Name,
 			fmt.Sprintf("attacker %s at (%.0f,%.0f)", st.id.attackerMAC, st.venue.Position.X, st.venue.Position.Y))
 	}
-	every := cfg.PublishEvery
-	if every <= 0 {
-		every = DefaultPublishEvery
+	period := cfg.PublishEvery
+	if period <= 0 {
+		period = DefaultPublishEvery
 	}
-	env.engine.Every(0, every, func() {
-		rp.PublishSnapshot(env.engine.Now(), env.rt.Metrics.Snapshot())
+	every(0, period, func() {
+		rp.PublishSnapshot(now(), rt.Metrics.Snapshot())
 	})
-	return &runFeed{rp: rp, env: env}
+	return &runFeed{rp: rp, rt: rt}
 }
 
 // finish publishes the end-of-run snapshot — which now includes the
@@ -70,6 +72,6 @@ func (f *runFeed) finish(simulated time.Duration, runErr error) {
 	if f == nil {
 		return
 	}
-	f.rp.PublishSnapshot(simulated, f.env.rt.Metrics.Snapshot())
+	f.rp.PublishSnapshot(simulated, f.rt.Metrics.Snapshot())
 	f.rp.FinishRun(simulated, runErr)
 }

@@ -292,8 +292,8 @@ func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duratio
 
 	// Live telemetry feed (no-op without a publisher) and periodic engine
 	// sampling for the time-series figures.
-	feed := startFeed(env, "run", slot, sites, nil)
-	scheduleSampling(env, sites)
+	feed := startFeed(env.rt, cfg, env.engine.Every, env.engine.Now, "run", slot, sites, nil)
+	scheduleSampling([]*runEnv{env}, sites)
 
 	// Arrivals for this slot only; offsets are measured from slot start.
 	slotStart := time.Duration(slot) * time.Hour
@@ -302,7 +302,7 @@ func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duratio
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	pop := newPopulation(env, cfg.Venue, st.id.legitMAC, attackerSet(sites), &macAllocator{})
+	pop := newPopulation(env, cfg.Venue, st.id.legitMAC, attackerSet(sites))
 	pop.spawnArrivals(arrivals, slotStart, cfg.Venue.Groups(slot), duration)
 
 	_, runErr := env.engine.RunContext(ctx, duration)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cityhunter/internal/ap"
@@ -262,29 +263,38 @@ func attackerSet(sites []*site) map[ieee80211.MAC]bool {
 }
 
 // scheduleSampling arms the periodic engine-state sampler for the
-// time-series figures. Engines shared across sites are sampled once.
-func scheduleSampling(env *runEnv, sites []*site) {
-	if env.cfg.SampleEvery <= 0 {
-		return
-	}
-	engines := uniqueEngines(sites)
-	var manas []*attack.Mana
-	for _, st := range sites {
-		if st.set.mana != nil {
-			manas = append(manas, st.set.mana)
+// time-series figures: one tick per distinct env (one for a serial
+// deployment, one per site on the partitioned engine, each on the site's
+// own partition), sampling the distinct strategy engines of the sites on
+// that env. Engines shared across sites are sampled once.
+func scheduleSampling(envs []*runEnv, sites []*site) {
+	for i, env := range envs {
+		if env.cfg.SampleEvery <= 0 || slices.Index(envs, env) != i {
+			continue // sampling off, or env already armed
 		}
-	}
-	var sample func()
-	sample = func() {
-		for _, eng := range engines {
-			eng.SampleState(env.engine.Now())
+		var onEnv []*site
+		var manas []*attack.Mana
+		for j, st := range sites {
+			if envs[j] == env {
+				onEnv = append(onEnv, st)
+				if st.set.mana != nil {
+					manas = append(manas, st.set.mana)
+				}
+			}
 		}
-		for _, m := range manas {
-			m.SampleSize(env.engine.Now())
+		engines := uniqueEngines(onEnv)
+		if len(engines) == 0 && len(manas) == 0 {
+			continue
 		}
-		env.engine.Schedule(env.cfg.SampleEvery, sample)
+		env.engine.Every(0, env.cfg.SampleEvery, func() {
+			for _, eng := range engines {
+				eng.SampleState(env.engine.Now())
+			}
+			for _, m := range manas {
+				m.SampleSize(env.engine.Now())
+			}
+		})
 	}
-	env.engine.Schedule(0, sample)
 }
 
 // scaledProfile multiplies a venue profile's arrival rates by scale.
