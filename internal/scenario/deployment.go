@@ -156,11 +156,12 @@ func RunDeployment(dcfg DeploymentConfig, slot int, duration time.Duration) (*De
 // RunDeploymentContext composes the same layers as RunContext — world
 // build, knowledge, site deployment, collection — across N sites, then
 // adds the two things only a city has: phones roaming between venues, and
-// a knowledge plane joining the hunters' databases. DeploymentConfig.
-// Partitions selects the serial engine (one env shared by every site) or
-// the partitioned one (one env per site); the layers above are the same.
+// a knowledge plane joining the hunters' databases. The Partitions field
+// selects the serial engine (one env shared by every site) or the
+// partitioned one (one env per site); the layers above the env are the
+// same on both.
 //
-// Cancellation mirrors RunContext: a mid-run cancel returns the partial
+// Cancellation follows RunContext: a mid-run cancel returns the partial
 // DeploymentResult together with a non-nil error wrapping ctx.Err().
 func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, duration time.Duration) (*DeploymentResult, error) {
 	cfg := dcfg.Base

@@ -158,7 +158,6 @@ type promoWindow struct {
 // cause — PNL, behaviour flags, scan jitter — independent of when (and
 // whether) other pedestrians promote.
 type pedestrian struct {
-	id    int
 	mac   ieee80211.MAC
 	rng   *rand.Rand
 	route mobility.Route
@@ -169,7 +168,6 @@ type pedestrian struct {
 	direct     bool
 	firstPromo time.Duration
 	lastDemote time.Duration
-	promotions int
 }
 
 // farFieldMAC derives pedestrian ID MACs from a locally administered space
@@ -270,7 +268,7 @@ func (tm *tierManager) spawn(horizon time.Duration) {
 	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
 	for id := 0; id < tm.cfg.Pedestrians; id++ {
 		seed := spawn.Int63()
-		p := &pedestrian{id: id, mac: farFieldMAC(id), rng: rand.New(rand.NewSource(seed))}
+		p := &pedestrian{mac: farFieldMAC(id), rng: rand.New(rand.NewSource(seed))}
 		p.direct = p.rng.Float64() < tm.envs[0].cfg.DirectProberFraction
 		arrival := time.Duration(p.rng.Int63n(int64(horizon)))
 		entry := geo.Pt(
@@ -422,7 +420,6 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	}
 	p.cur = c
 	p.snap = nil
-	p.promotions++
 	s := &tm.perSite[w.site]
 	s.stats.Promotions++
 	s.promotedNow++
