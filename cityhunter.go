@@ -221,67 +221,15 @@ var (
 	CityScaleCityConfig = citygen.CityScaleConfig
 	// DefaultRouteModel is the far-field itinerary model.
 	DefaultRouteModel = mobility.DefaultRoute
-)
-
-// Venue persistence, re-exported: venues round-trip through a declarative
-// JSON format so deployments can be shared as files (see
-// cmd/cityhunter-sim's -venue-file flag).
-var (
-	// SaveVenue writes a venue as JSON.
-	//
-	// Deprecated: prefer SavePlan with a KindVenue Plan; this writer is
-	// kept for compatibility and emits byte-identical output.
-	SaveVenue = scenario.SaveVenue
-	// LoadVenue reads and validates a venue written by SaveVenue.
-	//
-	// Deprecated: prefer LoadPlan; this reader stays for existing
-	// standalone venue files.
-	LoadVenue = scenario.LoadVenue
-)
-
-// Deployment persistence, re-exported: deployment plans (sites, knowledge
-// plane, roaming model — not the Base experiment config) round-trip
-// through a declarative JSON format mirroring the venue files (see
-// cmd/cityhunter-sim's -deployment flag).
-var (
-	// SaveDeployment writes a deployment plan as JSON.
-	//
-	// Deprecated: prefer SavePlan with a KindDeployment Plan; this writer
-	// is kept for compatibility and emits byte-identical output.
-	SaveDeployment = scenario.SaveDeployment
-	// LoadDeployment reads and validates a plan written by SaveDeployment.
-	//
-	// Deprecated: prefer LoadPlan; this reader stays for existing
-	// standalone deployment files.
-	LoadDeployment = scenario.LoadDeployment
 	// DefaultTransit returns the urban walking-speed transit model.
 	DefaultTransit = mobility.DefaultTransit
 )
 
-// Campaign persistence, re-exported: run specs round-trip through a
-// declarative JSON format mirroring the venue files, so whole evaluations
-// can be shared as spec files (see cmd/cityhunter-sim's -campaign-file
-// flag). RunSpec.Configure hooks are programmatic-only and not serialised.
-var (
-	// SaveCampaign writes run specs as JSON.
-	//
-	// Deprecated: prefer SavePlan with a KindCampaign Plan; this writer is
-	// kept for compatibility and emits byte-identical output.
-	SaveCampaign = campaign.Save
-	// LoadCampaign reads and validates specs written by SaveCampaign (or
-	// hand-written: venues may be referenced by built-in name). Errors
-	// name the offending run and field.
-	//
-	// Deprecated: prefer LoadPlan; this reader stays for existing
-	// standalone campaign files.
-	LoadCampaign = campaign.Load
-)
-
-// Plan persistence: the versioned envelope that unifies the three
-// standalone formats. A Plan declares its kind (venue, deployment or
-// campaign) and carries exactly that payload; files round-trip through
-// SavePlan/LoadPlan with strict unknown-field rejection end to end, and
-// the campaign server accepts only this envelope.
+// Plan persistence: the versioned envelope is the one persisted format for
+// venues, deployment plans and campaigns. A Plan declares its kind (venue,
+// deployment or campaign) and carries exactly that payload; files
+// round-trip through SavePlan/LoadPlan with strict unknown-field rejection
+// end to end. cmd/cityhunter-sim -plan and the campaign server read it.
 type (
 	// Plan is the versioned envelope: Version, Kind, and the one payload
 	// matching the kind.
@@ -876,10 +824,11 @@ func (w *World) DeploySitesContext(ctx context.Context, sites []Venue, kind Atta
 	return res, nil
 }
 
-// RunDeployment executes a deployment plan — typically one loaded with
-// LoadDeployment — against this world: the plan's Base is replaced by the
-// world's base configuration carrying the given attack kind and run
-// options, then the deployment runs with DeploySitesContext's semantics.
+// RunDeployment executes a deployment plan — typically the payload of a
+// KindDeployment plan loaded with LoadPlan — against this world: the
+// plan's Base is replaced by the world's base configuration carrying the
+// given attack kind and run options, then the deployment runs with
+// DeploySitesContext's semantics.
 func (w *World) RunDeployment(ctx context.Context, dcfg DeploymentConfig, kind AttackKind, slot int, duration time.Duration, opts ...RunOption) (*DeploymentResult, error) {
 	base := w.baseRunConfig()
 	base.Attack = kind

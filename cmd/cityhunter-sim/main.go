@@ -16,24 +16,30 @@
 //	-metrics       print the deterministic metrics dump and journal tail
 //	-trace-out F   write a Chrome/Perfetto trace-event JSON file to F
 //
-// Campaign mode: -campaign-file F loads a JSON campaign spec file (see
-// cityhunter.SaveCampaign/LoadCampaign) and runs every declared deployment
-// over the campaign worker pool instead of the single run the flags above
-// describe; -parallel bounds the pool. Ctrl-C cancels mid-campaign and the
-// completed runs are still reported.
+// Plan mode: -plan F loads a plan envelope (see cityhunter.SavePlan/
+// LoadPlan) and its kind picks what runs:
 //
-// Deployment mode: -deployment F loads a JSON multi-site deployment plan
-// (see cityhunter.SaveDeployment/LoadDeployment: sites, knowledge plane,
-// roaming model) and runs one attacker per site on a single shared radio
-// medium, printing per-site rows and the pooled tally. -attack, -slot,
-// -minutes, -seed and the population flags apply; the single-run output
-// flags (-pcap, -trace-out, -breakdown) do not. -population without a
-// -deployment plan hunts the default city-scale trio (station, canteen,
-// mall) with that many far-field pedestrians. -partitions 0 runs the
-// deployment on the conservative parallel engine with one partition per
+//   - venue: the single run above, at the plan's venue instead of -venue;
+//     every single-run flag applies.
+//   - deployment: one attacker per site (sites, knowledge plane, roaming
+//     model) on a single shared radio medium, printing per-site rows and
+//     the pooled tally. -attack, -slot, -minutes, -seed, the population
+//     flags and -partitions apply; the single-run output flags (-pcap,
+//     -trace-out, -breakdown) do not.
+//   - campaign: every declared run over the campaign worker pool;
+//     -parallel bounds the pool. Ctrl-C cancels mid-campaign and the
+//     completed runs are still reported.
+//
+// A bare venue, deployment or campaign document becomes a plan by wrapping
+// it: {"version":1,"kind":"venue","venue":{...}}.
+//
+// -population without -plan hunts the default city-scale trio (station,
+// canteen, mall) with that many far-field pedestrians. -partitions 0 runs
+// a deployment on the conservative parallel engine with one partition per
 // site (-partitions N for an explicit count); the default -1 keeps the
-// classic serialized engine unless the plan file itself asks for
-// partitions.
+// classic serialized engine unless the plan itself asks for partitions.
+// -population, -lod-radius and -partitions are refused with a venue or
+// campaign plan.
 //
 // Live monitoring: -monitor ADDR serves read-only telemetry over HTTP for
 // the lifetime of the process — Prometheus exposition on /metrics, run
@@ -78,17 +84,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		preconnected = fs.Float64("preconnected", 0, "fraction of phones arriving connected to the venue AP")
 		breakdown    = fs.Bool("breakdown", false, "print the hit breakdown (City-Hunter only)")
 		pcapPath     = fs.String("pcap", "", "capture every frame at the venue into this pcap file")
-		venueFile    = fs.String("venue-file", "", "load the venue from this JSON file instead of -venue")
 		loss         = fs.Float64("loss", 0, "independent frame-loss probability (failure injection)")
 		canary       = fs.Float64("canary", 0, "fraction of phones running the canary-probe detector")
 		randomizeMAC = fs.Float64("randomize-macs", 0, "fraction of phones rotating their probe MAC per scan")
 		sentinel     = fs.Bool("sentinel", false, "deploy the passive evil-twin sentinel and report its findings")
 		metrics      = fs.Bool("metrics", false, "print the metrics dump and flight-recorder tail after the run")
 		traceOut     = fs.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (open in chrome://tracing)")
-		campaignFile = fs.String("campaign-file", "", "run the campaign declared in this JSON spec file instead of a single deployment")
-		deployFile   = fs.String("deployment", "", "run the multi-site deployment plan in this JSON file instead of a single venue")
+		planPath     = fs.String("plan", "", "run the plan envelope in this JSON file: a venue (single run), a deployment or a campaign")
 		parallel     = fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		population   = fs.Int("population", 0, "far-field pedestrians roaming the city in a -deployment run (level-of-detail tier)")
+		population   = fs.Int("population", 0, "far-field pedestrians roaming the city in a deployment run (level-of-detail tier)")
 		partitions   = fs.Int("partitions", -1, "conservative parallel deployment engine: 0 = one partition per site, N = explicit count, -1 = serial engine (or the plan's setting)")
 		lodRadius    = fs.Float64("lod-radius", 0, "promotion boundary radius in metres around each site (0 = 1.25x the largest radio range)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -97,6 +101,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	var p cityhunter.Plan
+	if *planPath != "" {
+		var err error
+		if p, err = loadPlan(*planPath); err != nil {
+			return err
+		}
+		if p.Kind != cityhunter.KindDeployment {
+			// These flags only shape deployments; refuse them rather
+			// than ignore them.
+			var conflict string
+			fs.Visit(func(f *flag.Flag) {
+				if conflict == "" && (f.Name == "population" || f.Name == "lod-radius" || f.Name == "partitions") {
+					conflict = f.Name
+				}
+			})
+			if conflict != "" {
+				return fmt.Errorf("-%s applies to deployment plans only, not to a %s plan", conflict, p.Kind)
+			}
+		}
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -119,11 +144,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "monitor listening on http://%s — try /metrics, /runs, /events (SSE), /debug/pprof\n", bound)
 	}
 
-	if *campaignFile != "" {
-		return runCampaign(ctx, out, *campaignFile, *seed, *parallel, mon)
+	if p.Kind == cityhunter.KindCampaign {
+		return runCampaign(ctx, out, *planPath, p.Specs, *seed, *parallel, mon)
 	}
 
-	if *deployFile != "" || *population > 0 {
+	if p.Kind == cityhunter.KindDeployment || *population > 0 {
 		kind, err := attackByName(*attackName)
 		if err != nil {
 			return err
@@ -150,33 +175,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *deployFile != "" {
-			return runDeployment(ctx, out, *deployFile, kind, *slot, *minutes, *seed,
+		if p.Kind == cityhunter.KindDeployment {
+			return runDeployment(ctx, out, *planPath, *p.Deployment, kind, *slot, *minutes, *seed,
 				*population, *lodRadius, parts, opts...)
 		}
-		// -population without a -deployment plan: hunt the default
-		// city-scale trio (station, canteen, mall) in a synthetic city.
+		// -population without a plan: hunt the default city-scale trio
+		// (station, canteen, mall) in a synthetic city.
 		return runCityScale(ctx, out, kind, *slot, *minutes, *seed,
 			*population, *lodRadius, parts, opts...)
 	}
 
 	var venue cityhunter.Venue
-	if *venueFile != "" {
-		f, err := os.Open(*venueFile)
-		if err != nil {
-			return err
-		}
-		venue, err = cityhunter.LoadVenue(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		venue, err = venueByName(*venueName)
-		if err != nil {
-			return err
-		}
+	if p.Kind == cityhunter.KindVenue {
+		venue = *p.Venue
+	} else if venue, err = venueByName(*venueName); err != nil {
+		return err
 	}
 	kind, err := attackByName(*attackName)
 	if err != nil {
@@ -305,22 +318,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// runCampaign loads a campaign spec file and fans its runs over the worker
-// pool. Per-run rows print in spec order once everything (that was allowed
-// to) finished, so output is identical at any -parallel value; progress goes
-// to stderr. On cancellation the completed runs still print before the
-// error is returned.
-func runCampaign(ctx context.Context, out io.Writer, path string, seed int64, parallel int, mon *cityhunter.MonitorServer) error {
+// loadPlan reads the plan envelope at path.
+func loadPlan(path string) (cityhunter.Plan, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return cityhunter.Plan{}, err
 	}
-	specs, err := cityhunter.LoadCampaign(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
+	defer f.Close()
+	return cityhunter.LoadPlan(f)
+}
 
+// runCampaign fans a campaign plan's runs over the worker pool. Per-run
+// rows print in spec order once everything (that was allowed to) finished,
+// so output is identical at any -parallel value; progress goes to stderr.
+// On cancellation the completed runs still print before the error is
+// returned.
+func runCampaign(ctx context.Context, out io.Writer, path string, specs []cityhunter.RunSpec, seed int64, parallel int, mon *cityhunter.MonitorServer) error {
 	world, err := cityhunter.NewWorld(cityhunter.WithSeed(seed))
 	if err != nil {
 		return err
@@ -359,23 +372,14 @@ func runCampaign(ctx context.Context, out io.Writer, path string, seed int64, pa
 	return runErr
 }
 
-// runDeployment loads a multi-site deployment plan and runs it end to end on
-// one shared medium, printing the per-site rows followed by the pooled tally
-// that the plan's knowledge plane produced.
-func runDeployment(ctx context.Context, out io.Writer, path string, kind cityhunter.AttackKind,
-	slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
-	opts ...cityhunter.RunOption) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	dcfg, err := cityhunter.LoadDeployment(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
+// runDeployment runs a multi-site deployment plan end to end on one shared
+// medium, printing the per-site rows followed by the pooled tally that the
+// plan's knowledge plane produced.
+func runDeployment(ctx context.Context, out io.Writer, path string, dcfg cityhunter.DeploymentConfig,
+	kind cityhunter.AttackKind, slot, minutes int, seed int64, population int, lodRadius float64,
+	partitions int, opts ...cityhunter.RunOption) error {
 	if partitions != 0 {
-		// The flag overrides whatever the plan file carries; 0 (the
+		// The flag overrides whatever the plan carries; 0 (the
 		// mapped form of -partitions -1) keeps the plan's setting.
 		dcfg.Partitions = partitions
 	}
@@ -412,11 +416,11 @@ func runDeployment(ctx context.Context, out io.Writer, path string, kind cityhun
 	return nil
 }
 
-// runCityScale is the no-plan-file deployment path: -population with no
-// -deployment hunts the default city-scale trio (station, canteen, mall)
-// embedded in the synthetic dozen-district city, mirroring the
-// examples/city-scale walkthrough so a one-liner exercises the
-// level-of-detail tier (and, with -monitor, lights up the telemetry plane).
+// runCityScale is the no-plan deployment path: -population with no -plan
+// hunts the default city-scale trio (station, canteen, mall) embedded in
+// the synthetic dozen-district city, mirroring the examples/city-scale
+// walkthrough so a one-liner exercises the level-of-detail tier (and, with
+// -monitor, lights up the telemetry plane).
 func runCityScale(ctx context.Context, out io.Writer, kind cityhunter.AttackKind,
 	slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
 	opts ...cityhunter.RunOption) error {
@@ -466,7 +470,7 @@ func runCityScale(ctx context.Context, out io.Writer, kind cityhunter.AttackKind
 
 // partitionsFlagValue maps the -partitions flag onto the DeploymentConfig
 // field. The flag default -1 means "don't override" (classic engine, or
-// whatever the plan file says) and maps to 0; flag 0 asks for one partition
+// whatever the plan says) and maps to 0; flag 0 asks for one partition
 // per site and maps to AutoPartitions; a positive flag is an explicit count.
 func partitionsFlagValue(flag int) (int, error) {
 	switch {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cityhunter"
 )
@@ -97,21 +98,39 @@ func TestRunDeterministicMetrics(t *testing.T) {
 	}
 }
 
-// TestRunCampaignFile drives the -campaign-file path: rows print in spec
+// writePlan saves p as a plan envelope in a temporary file.
+func writePlan(t *testing.T, p cityhunter.Plan) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "plan.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cityhunter.SavePlan(f, p)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("save plan: %v", err)
+	}
+	return path
+}
+
+// TestRunCampaignFile drives -plan with a campaign plan: rows print in spec
 // order with the aggregate line, and output is identical at any -parallel.
 func TestRunCampaignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
-	spec := `{"runs": [
+	spec := `{"version": 1, "kind": "campaign", "campaign": {"runs": [
 		{"name": "lunch", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 2, "arrivalScale": 0.4},
 		{"name": "rush", "venue": "passage", "attack": "mana", "slot": 0, "minutes": 2, "arrivalScale": 0.4}
-	]}`
+	]}}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	invoke := func(parallel string) string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-campaign-file", path, "-seed", "3", "-parallel", parallel}, &out)
+			[]string{"-plan", path, "-seed", "3", "-parallel", parallel}, &out)
 		if err != nil {
 			t.Fatalf("run -parallel %s: %v", parallel, err)
 		}
@@ -132,32 +151,20 @@ func TestRunCampaignFile(t *testing.T) {
 	}
 }
 
-// TestRunDeploymentFile drives the -deployment path: a two-site plan prints
-// the header with the knowledge plane, one row per site, and the pooled
-// tally, and the same seed reproduces byte-identical output.
+// TestRunDeploymentFile drives -plan with a deployment plan: a two-site
+// plan prints the header with the knowledge plane, one row per site, and
+// the pooled tally, and the same seed reproduces byte-identical output.
 func TestRunDeploymentFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "city.json")
-	plan := cityhunter.DeploymentConfig{
+	path := writePlan(t, cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &cityhunter.DeploymentConfig{
 		Sites:        []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.PassageVenue()},
 		Knowledge:    cityhunter.Shared,
 		RoamFraction: 0.5,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(f, plan)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save plan: %v", err)
-	}
+	}})
 
 	invoke := func() string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-deployment", path, "-attack", "cityhunter", "-minutes", "2", "-seed", "3"}, &out)
+			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "2", "-seed", "3"}, &out)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -175,40 +182,28 @@ func TestRunDeploymentFile(t *testing.T) {
 
 	// A broken plan surfaces the load error before any simulation starts.
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"knowledge":"telepathy","sites":[]}`), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"version":1,"kind":"deployment","deployment":{"knowledge":"telepathy","sites":[]}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-deployment", bad}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-plan", bad}, &out); err == nil ||
 		!strings.Contains(err.Error(), "telepathy") {
 		t.Fatalf("err = %v, want unknown-knowledge-plane complaint", err)
 	}
 }
 
 // TestRunDeploymentPopulation drives the level-of-detail flags: -population
-// adds the far-field tier to a -deployment run and the output reports
-// promoted-client accounting; without a deployment the flag is refused.
+// adds the far-field tier to a deployment plan's run and the output reports
+// promoted-client accounting; without a plan it hunts the city-scale trio.
 func TestRunDeploymentPopulation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "city.json")
-	plan := cityhunter.DeploymentConfig{
+	path := writePlan(t, cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &cityhunter.DeploymentConfig{
 		Sites: []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.StationVenue()},
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(f, plan)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save plan: %v", err)
-	}
+	}})
 
 	invoke := func() string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-deployment", path, "-attack", "cityhunter", "-minutes", "20",
+			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "20",
 				"-seed", "3", "-population", "2000", "-lod-radius", "80"}, &out)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -225,8 +220,8 @@ func TestRunDeploymentPopulation(t *testing.T) {
 		t.Errorf("same-seed far-field runs diverged:\n--- first ---\n%s\n--- second ---\n%s", text, again)
 	}
 
-	// -population with no -deployment plan hunts the default city-scale
-	// trio instead of erroring.
+	// -population with no plan hunts the default city-scale trio instead
+	// of erroring.
 	var out bytes.Buffer
 	if err := run(context.Background(),
 		[]string{"-population", "100", "-minutes", "5"}, &out); err != nil {
@@ -245,27 +240,16 @@ func TestRunDeploymentPopulation(t *testing.T) {
 // CLI), and invalid or unsupported combinations fail before any
 // simulation starts.
 func TestRunDeploymentPartitions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "city.json")
 	plan := cityhunter.DeploymentConfig{
 		Sites:        []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.StationVenue()},
 		RoamFraction: 0.5,
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(f, plan)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save plan: %v", err)
-	}
+	path := writePlan(t, cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &plan})
 
 	invoke := func(parts string) string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-deployment", path, "-attack", "cityhunter", "-minutes", "10",
+			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "10",
 				"-seed", "3", "-partitions", parts}, &out)
 		if err != nil {
 			t.Fatalf("run -partitions %s: %v", parts, err)
@@ -287,30 +271,19 @@ func TestRunDeploymentPartitions(t *testing.T) {
 
 	var out bytes.Buffer
 	if err := run(context.Background(),
-		[]string{"-deployment", path, "-partitions", "-2"}, &out); err == nil ||
+		[]string{"-plan", path, "-partitions", "-2"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-partitions -2 invalid") {
 		t.Fatalf("err = %v, want invalid-partitions complaint", err)
 	}
 
 	// A shared knowledge plane has zero lookahead; the partitioned engine
 	// refuses it before the run starts.
-	shared := filepath.Join(t.TempDir(), "shared.json")
 	splan := plan
 	splan.Knowledge = cityhunter.Shared
-	sf, err := os.Create(shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(sf, splan)
-	if cerr := sf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save shared plan: %v", err)
-	}
+	shared := writePlan(t, cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &splan})
 	out.Reset()
 	if err := run(context.Background(),
-		[]string{"-deployment", shared, "-partitions", "0", "-minutes", "2"}, &out); err == nil ||
+		[]string{"-plan", shared, "-partitions", "0", "-minutes", "2"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "shared knowledge") {
 		t.Fatalf("err = %v, want shared-knowledge rejection", err)
 	}
@@ -320,14 +293,81 @@ func TestRunDeploymentPartitions(t *testing.T) {
 // named, before any simulation starts.
 func TestRunCampaignFileBadSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
-	spec := `{"runs": [{"name": "x", "venue": "casino", "attack": "karma", "slot": 0, "minutes": 5}]}`
+	spec := `{"version": 1, "kind": "campaign", "campaign": {"runs": [{"name": "x", "venue": "casino", "attack": "karma", "slot": 0, "minutes": 5}]}}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-campaign-file", path}, &out)
+	err := run(context.Background(), []string{"-plan", path}, &out)
 	if err == nil || !strings.Contains(err.Error(), `unknown venue "casino"`) {
 		t.Fatalf("err = %v, want unknown-venue complaint", err)
+	}
+}
+
+// TestRunVenuePlan drives -plan with a venue plan: a hand-written venue
+// runs through the single-run path, and the same seed reproduces
+// byte-identical output.
+func TestRunVenuePlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "venue.json")
+	doc := `{"version": 1, "kind": "venue", "venue": {
+		"name": "night market",
+		"kind": "mall",
+		"position": {"x": 1000, "y": 2000},
+		"radioRange": 40,
+		"startHour": 18,
+		"arrivalsPerMinute": [10, 18, 20, 12],
+		"movingFraction": 0.4,
+		"staticDwell": {"medianMinutes": 8, "sigma": 0.4, "maxMinutes": 40},
+		"movingDwell": {"pathLengthMetres": 70, "speedMinMps": 0.8, "speedMaxMps": 1.4},
+		"rushSlots": [1, 2]
+	}}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	invoke := func() string {
+		var out bytes.Buffer
+		if err := run(context.Background(),
+			[]string{"-plan", path, "-slot", "1", "-minutes", "4", "-seed", "3"}, &out); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return out.String()
+	}
+	text := invoke()
+	if !strings.Contains(text, "at the night market, 7pm-8pm, 4 minutes") {
+		t.Errorf("output does not name the plan's venue and slot\n--- output ---\n%s", text)
+	}
+	if again := invoke(); again != text {
+		t.Errorf("same-seed venue-plan runs diverged:\n--- first ---\n%s\n--- second ---\n%s", text, again)
+	}
+}
+
+// TestRunPlanRefusesDeploymentFlags: -population, -lod-radius and
+// -partitions only shape deployments; set with a venue or campaign plan
+// they are refused by name instead of silently ignored (or, for
+// -population, silently running the city-scale trio instead of the plan).
+func TestRunPlanRefusesDeploymentFlags(t *testing.T) {
+	venue := cityhunter.CanteenVenue()
+	plans := map[string]string{
+		"venue": writePlan(t, cityhunter.Plan{Kind: cityhunter.KindVenue, Venue: &venue}),
+		"campaign": writePlan(t, cityhunter.Plan{Kind: cityhunter.KindCampaign, Specs: []cityhunter.RunSpec{
+			{Name: "lunch", Venue: venue, Attack: cityhunter.CityHunter, Slot: 4, Duration: time.Minute},
+		}}),
+	}
+	for kind, path := range plans {
+		for _, flag := range [][]string{
+			{"-population", "100"},
+			{"-lod-radius", "80"},
+			{"-partitions", "-1"},
+		} {
+			var out bytes.Buffer
+			err := run(context.Background(), append([]string{"-plan", path, "-minutes", "1"}, flag...), &out)
+			if err == nil || !strings.Contains(err.Error(), flag[0]+" applies to deployment plans only") {
+				t.Errorf("%s plan with %s: err = %v, want the flag named", kind, flag[0], err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s plan with %s ran anyway:\n%s", kind, flag[0], out.String())
+			}
+		}
 	}
 }
 

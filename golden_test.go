@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -29,6 +30,7 @@ import (
 	"cityhunter/internal/experiments"
 	"cityhunter/internal/geo"
 	"cityhunter/internal/mobility"
+	"cityhunter/internal/serve"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files from current behaviour")
@@ -87,14 +89,18 @@ func TestGoldenExperimentsGrid(t *testing.T) {
 	}
 }
 
-// goldenCampaignJSON is the campaign-mode capture: a hand-written spec file
-// exercising the by-name venue references and the declarative knobs.
+// goldenCampaignJSON is the campaign-mode capture: a hand-written campaign
+// plan exercising the by-name venue references and the declarative knobs.
 const goldenCampaignJSON = `{
-  "runs": [
-    {"name": "lunch canteen", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 3},
-    {"name": "rush passage", "venue": "passage", "attack": "cityhunter", "slot": 0, "minutes": 3},
-    {"name": "mana mall", "venue": "mall", "attack": "mana", "slot": 6, "minutes": 3, "arrivalScale": 0.5}
-  ]
+  "version": 1,
+  "kind": "campaign",
+  "campaign": {
+    "runs": [
+      {"name": "lunch canteen", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 3},
+      {"name": "rush passage", "venue": "passage", "attack": "cityhunter", "slot": 0, "minutes": 3},
+      {"name": "mana mall", "venue": "mall", "attack": "mana", "slot": 6, "minutes": 3, "arrivalScale": 0.5}
+    ]
+  }
 }`
 
 // TestGoldenCampaign pins campaign mode: per-spec result rows and the
@@ -105,10 +111,11 @@ func TestGoldenCampaign(t *testing.T) {
 		t.Skip("campaign golden is not -short friendly")
 	}
 	world := apiWorld(t)
-	specs, err := cityhunter.LoadCampaign(strings.NewReader(goldenCampaignJSON))
+	p, err := cityhunter.LoadPlan(strings.NewReader(goldenCampaignJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
+	specs := p.Specs
 	for _, workers := range []int{1, 8} {
 		res, err := world.RunCampaign(context.Background(), specs, cityhunter.CampaignPool{Workers: workers})
 		if err != nil {
@@ -270,4 +277,41 @@ func TestGoldenDeployment(t *testing.T) {
 		}
 		checkGolden(t, "deployment_randomized_seed1.txt", renderDeployment(res))
 	})
+}
+
+// goldenModelVersion and goldenDigest record the serve.ModelVersion the
+// goldens were produced by and the digest of testdata/golden. A golden
+// update must bump serve.ModelVersion, so the campaign server stops
+// serving stored results of the old model, and record both values here.
+const (
+	goldenModelVersion = "1"
+	goldenDigest       = "386f1fc53c49608aa3ce9dbd1dbcaf005581a175bbbd1458adce292e46b106ed"
+)
+
+// TestGoldenModelVersion fails when testdata/golden changes without a
+// serve.ModelVersion bump (or the version moves without the goldens'
+// digest being recorded for it).
+func TestGoldenModelVersion(t *testing.T) {
+	entries, err := os.ReadDir(goldenDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries { // ReadDir sorts by name
+		data, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	if serve.ModelVersion != goldenModelVersion {
+		t.Fatalf("serve.ModelVersion %q has no recorded golden digest (recorded for %q): set goldenModelVersion = %q and goldenDigest = %q",
+			serve.ModelVersion, goldenModelVersion, serve.ModelVersion, digest)
+	}
+	if digest != goldenDigest {
+		t.Fatalf("%s changed (digest %s, recorded %s) without a model version bump: bump serve.ModelVersion and record the new version and digest here",
+			goldenDir, digest, goldenDigest)
+	}
 }

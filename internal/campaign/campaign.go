@@ -45,7 +45,7 @@ type Spec struct {
 
 	// Declarative knobs. Pointer fields distinguish "unset" (inherit the
 	// base configuration) from an explicit zero. These fields — unlike
-	// Configure — survive SaveCampaign/LoadCampaign round trips.
+	// Configure — survive plan round trips (plan.Save/plan.Load).
 	DirectProberFraction *float64
 	ScanInterval         *time.Duration
 	ArrivalScale         *float64
@@ -69,7 +69,7 @@ type Spec struct {
 	// Configure, when non-nil, mutates the fully assembled run
 	// configuration last — the programmatic escape hatch for knobs the
 	// declarative fields do not cover (core-engine ablations, WiGLE
-	// resampling, sampling periods). It is not serialised by SaveCampaign.
+	// resampling, sampling periods). It is not serialised in plans.
 	Configure func(*scenario.Config)
 
 	// Deployment, when non-nil, turns this spec into a multi-site
@@ -78,8 +78,37 @@ type Spec struct {
 	// in Outcome.Deployments instead of Outcome.Results. The Deployment's
 	// Base is ignored — the campaign assembles it from the campaign base
 	// and this spec's declarative knobs. Like Configure, it is not
-	// serialised by SaveCampaign (persist the plan with SaveDeployment).
+	// serialised in campaign plans (persist it as a deployment plan).
 	Deployment *scenario.DeploymentConfig
+}
+
+// attackNames maps the plan and job-submission encoding of attacks to
+// attack kinds.
+var attackNames = map[string]scenario.AttackKind{
+	"karma":         scenario.KARMA,
+	"mana":          scenario.MANA,
+	"prelim":        scenario.CityHunterPreliminary,
+	"cityhunter":    scenario.CityHunter,
+	"known-beacons": scenario.KnownBeacons,
+}
+
+// AttackByName resolves the file encoding of an attack
+// (karma|mana|prelim|cityhunter|known-beacons) — the same names campaign
+// plans and job submissions use.
+func AttackByName(name string) (scenario.AttackKind, bool) {
+	k, ok := attackNames[name]
+	return k, ok
+}
+
+// AttackName returns an attack kind's file encoding, or "" when the kind
+// has none.
+func AttackName(k scenario.AttackKind) string {
+	for name, kind := range attackNames {
+		if kind == k {
+			return name
+		}
+	}
+	return ""
 }
 
 // Pool configures the campaign worker pool.

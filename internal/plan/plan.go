@@ -1,11 +1,13 @@
-// Package plan defines the unified, versioned JSON envelope every plan in
-// the system travels in: a venue, a multi-site deployment, or a campaign
-// spec list, tagged with a format version and a kind. The envelope wraps
-// the exact payload codecs the standalone SaveVenue/SaveDeployment/
-// SaveCampaign formats use, so a payload lifted out of an envelope is
-// readable by the legacy loaders and vice versa — but unlike the legacy
-// loaders, envelope decoding is strict end to end: unknown fields anywhere
-// in the document are rejected, and the payload key must match the kind.
+// Package plan is the one persisted format for plans: a versioned JSON
+// envelope carrying a venue, a multi-site deployment, or a campaign spec
+// list, tagged with a format version and a kind. The package owns the
+// whole codec, payloads included. Decoding is strict end to end: unknown
+// fields anywhere in the document are rejected, and the payload key must
+// match the kind. Semantic validation stays with the payload types
+// (Venue.Validate, DeploymentConfig.Validate, Spec.Validate).
+//
+// A bare venue, deployment or campaign document becomes a plan by wrapping
+// it: {"version":1,"kind":"venue","venue":{...}}.
 //
 // Encode's output is canonical (compact, fixed field order), which is what
 // the job server hashes to content-address results: two submissions of the
@@ -48,26 +50,27 @@ type Plan struct {
 	// Venue is the payload of a KindVenue plan.
 	Venue *scenario.Venue
 	// Deployment is the payload of a KindDeployment plan. Its Base is
-	// empty, as in LoadDeployment: a plan describes where and how to
-	// deploy, the experiment configuration comes from the caller.
+	// empty: a plan describes where and how to deploy, the experiment
+	// configuration comes from the caller.
 	Deployment *scenario.DeploymentConfig
 	// Specs is the payload of a KindCampaign plan.
 	Specs []campaign.Spec
 }
 
 // planFile is the envelope's JSON form. The payload key is named after
-// the kind; the others must be absent.
+// the kind; the others must be absent. Every payload is a typed field, so
+// one DisallowUnknownFields decoder covers the whole document.
 type planFile struct {
 	Version    int             `json:"version"`
 	Kind       string          `json:"kind"`
-	Venue      json.RawMessage `json:"venue,omitempty"`
-	Deployment json.RawMessage `json:"deployment,omitempty"`
-	Campaign   json.RawMessage `json:"campaign,omitempty"`
+	Venue      *venueFile      `json:"venue,omitempty"`
+	Deployment *deploymentFile `json:"deployment,omitempty"`
+	Campaign   *campaignFile   `json:"campaign,omitempty"`
 }
 
 // Encode renders the plan in its canonical compact form — the bytes the
 // job server hashes for the result store. The plan is validated on the way
-// out (the payload codecs reject what their loaders would reject).
+// out (the payload codecs reject what Decode would reject).
 func Encode(p Plan) ([]byte, error) {
 	if p.Version != 0 && p.Version != Version {
 		return nil, fmt.Errorf("plan: unsupported version %d (want %d)", p.Version, Version)
@@ -78,29 +81,29 @@ func Encode(p Plan) ([]byte, error) {
 		if p.Venue == nil {
 			return nil, fmt.Errorf("plan: venue plan needs a venue payload")
 		}
-		raw, err := scenario.EncodeVenueJSON(*p.Venue)
+		vf, err := encodeVenue(*p.Venue)
 		if err != nil {
 			return nil, fmt.Errorf("plan: %w", err)
 		}
-		pf.Venue = raw
+		pf.Venue = &vf
 	case KindDeployment:
 		if p.Deployment == nil {
 			return nil, fmt.Errorf("plan: deployment plan needs a deployment payload")
 		}
-		raw, err := scenario.EncodeDeploymentJSON(*p.Deployment)
+		df, err := encodeDeployment(*p.Deployment)
 		if err != nil {
 			return nil, fmt.Errorf("plan: %w", err)
 		}
-		pf.Deployment = raw
+		pf.Deployment = &df
 	case KindCampaign:
 		if len(p.Specs) == 0 {
 			return nil, fmt.Errorf("plan: campaign plan declares no runs")
 		}
-		raw, err := campaign.EncodeSpecsJSON(p.Specs)
+		cf, err := encodeSpecs(p.Specs)
 		if err != nil {
 			return nil, fmt.Errorf("plan: %w", err)
 		}
-		pf.Campaign = raw
+		pf.Campaign = &cf
 	default:
 		return nil, fmt.Errorf("plan: unknown kind %q (want venue|deployment|campaign)", p.Kind)
 	}
@@ -157,7 +160,7 @@ func Decode(data []byte) (Plan, error) {
 		if pf.Venue == nil {
 			return Plan{}, fmt.Errorf("plan: venue plan needs a venue payload")
 		}
-		v, err := scenario.DecodeVenueJSON(pf.Venue, true)
+		v, err := decodeVenue(*pf.Venue)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: %w", err)
 		}
@@ -172,7 +175,7 @@ func Decode(data []byte) (Plan, error) {
 		if pf.Deployment == nil {
 			return Plan{}, fmt.Errorf("plan: deployment plan needs a deployment payload")
 		}
-		d, err := scenario.DecodeDeploymentJSON(pf.Deployment, true)
+		d, err := decodeDeployment(*pf.Deployment)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: %w", err)
 		}
@@ -187,7 +190,7 @@ func Decode(data []byte) (Plan, error) {
 		if pf.Campaign == nil {
 			return Plan{}, fmt.Errorf("plan: campaign plan needs a campaign payload")
 		}
-		specs, err := campaign.DecodeSpecsJSON(pf.Campaign, true)
+		specs, err := decodeSpecs(*pf.Campaign)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: %w", err)
 		}

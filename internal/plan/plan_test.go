@@ -18,8 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden plan files fro
 
 // checkGolden compares got against testdata/name byte for byte, rewriting
 // in -update mode. The golden files double as the compatibility contract:
-// the legacy savers and the plan envelope must keep emitting these exact
-// bytes.
+// the plan envelope must keep emitting these exact bytes.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -123,59 +122,6 @@ func TestPlanGolden(t *testing.T) {
 				name, wantCanon, gotCanon)
 		}
 	}
-}
-
-// TestLegacySaversGolden pins the deprecated standalone writers: they must
-// keep emitting the exact bytes they emitted before the plan envelope
-// existed (captured in testdata/<kind>.legacy.json), and the matching
-// loaders must keep reading those files.
-func TestLegacySaversGolden(t *testing.T) {
-	var venueBuf bytes.Buffer
-	if err := scenario.SaveVenue(&venueBuf, fixtureVenue()); err != nil {
-		t.Fatalf("SaveVenue: %v", err)
-	}
-	checkGolden(t, "venue.legacy.json", venueBuf.Bytes())
-
-	var depBuf bytes.Buffer
-	if err := scenario.SaveDeployment(&depBuf, fixtureDeployment()); err != nil {
-		t.Fatalf("SaveDeployment: %v", err)
-	}
-	checkGolden(t, "deployment.legacy.json", depBuf.Bytes())
-
-	var campBuf bytes.Buffer
-	if err := campaign.Save(&campBuf, fixtureSpecs()); err != nil {
-		t.Fatalf("campaign.Save: %v", err)
-	}
-	checkGolden(t, "campaign.legacy.json", campBuf.Bytes())
-
-	if *updateGolden {
-		return
-	}
-	// The legacy loaders still read the legacy files.
-	if v, err := scenario.LoadVenue(bytes.NewReader(mustRead(t, "venue.legacy.json"))); err != nil {
-		t.Errorf("LoadVenue(legacy golden): %v", err)
-	} else if v.Name != fixtureVenue().Name {
-		t.Errorf("LoadVenue(legacy golden) = %q", v.Name)
-	}
-	if d, err := scenario.LoadDeployment(bytes.NewReader(mustRead(t, "deployment.legacy.json"))); err != nil {
-		t.Errorf("LoadDeployment(legacy golden): %v", err)
-	} else if len(d.Sites) != 2 || d.Knowledge != scenario.PeriodicSync {
-		t.Errorf("LoadDeployment(legacy golden) = %+v", d)
-	}
-	if specs, err := campaign.Load(bytes.NewReader(mustRead(t, "campaign.legacy.json"))); err != nil {
-		t.Errorf("campaign.Load(legacy golden): %v", err)
-	} else if len(specs) != 2 || specs[1].Name != "defended rush" {
-		t.Errorf("campaign.Load(legacy golden) = %d specs", len(specs))
-	}
-}
-
-func mustRead(t *testing.T, name string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestPlanRoundTrip checks Save → Load → Save byte equality for every
@@ -332,19 +278,6 @@ func TestPartitionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyPermissiveVsEnvelopeStrict: the same unknown venue field that
-// the envelope rejects stays accepted by the legacy venue loader — the
-// historical permissiveness is part of its compatibility contract.
-func TestLegacyPermissiveVsEnvelopeStrict(t *testing.T) {
-	payload := `{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20},"futureField":1}`
-	if _, err := scenario.LoadVenue(strings.NewReader(payload)); err != nil {
-		t.Errorf("legacy LoadVenue rejected an unknown field it historically ignored: %v", err)
-	}
-	if _, err := Decode([]byte(`{"version":1,"kind":"venue","venue":` + payload + `}`)); err == nil {
-		t.Error("envelope accepted an unknown venue field")
-	}
-}
-
 // TestEncodeErrors covers the writer-side guards.
 func TestEncodeErrors(t *testing.T) {
 	if _, err := Encode(Plan{Kind: KindVenue}); err == nil || !strings.Contains(err.Error(), "venue payload") {
@@ -361,4 +294,73 @@ func TestEncodeErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "unsupported version 3") {
 		t.Errorf("bad version: %v", err)
 	}
+}
+
+// canonicalFixedPoint decodes data, re-encodes it, and checks the canonical
+// bytes survive a second Decode → Encode unchanged.
+func canonicalFixedPoint(t *testing.T, data []byte) {
+	t.Helper()
+	p, err := Decode(data)
+	if err != nil {
+		return
+	}
+	first, err := Encode(p)
+	if err != nil {
+		t.Fatalf("decoded plan does not encode: %v", err)
+	}
+	q, err := Decode(first)
+	if err != nil {
+		t.Fatalf("canonical form does not decode: %v\n%s", err, first)
+	}
+	second, err := Encode(q)
+	if err != nil {
+		t.Fatalf("re-decoded plan does not encode: %v", err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("canonical form is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+}
+
+// TestPlanDecodeFixedPoint: durations written as fractional minutes or
+// seconds decode to the nearest nanosecond, so a re-saved plan keeps its
+// bytes (and its content hash). Each value here lost 1 ns per round trip
+// when decoding truncated; the long run (~49 days) also drifts when n*unit
+// is rounded in one step.
+func TestPlanDecodeFixedPoint(t *testing.T) {
+	site := `{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":0.57,"sigma":0.5,"maxMinutes":4.35}}`
+	wholeSite := `{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}`
+	for label, doc := range map[string]string{
+		"campaign minutes":      `{"version":1,"kind":"campaign","campaign":{"runs":[{"venue":"canteen","attack":"karma","slot":0,"minutes":0.143}]}}`,
+		"long campaign minutes": `{"version":1,"kind":"campaign","campaign":{"runs":[{"venue":"canteen","attack":"karma","slot":0,"minutes":71090.71952999951}]}}`,
+		"scan interval":         `{"version":1,"kind":"campaign","campaign":{"runs":[{"venue":"canteen","attack":"karma","slot":0,"minutes":5,"scanIntervalSeconds":1.36}]}}`,
+		"venue dwell minutes":   `{"version":1,"kind":"venue","venue":` + site + `}`,
+		"sync period":           `{"version":1,"kind":"deployment","deployment":{"knowledge":"periodic-sync","syncEverySeconds":1.57,"sites":[` + wholeSite + `]}}`,
+	} {
+		t.Run(label, func(t *testing.T) {
+			if _, err := Decode([]byte(doc)); err != nil {
+				t.Fatalf("fixture rejected: %v", err)
+			}
+			canonicalFixedPoint(t, []byte(doc))
+		})
+	}
+}
+
+// FuzzPlanDecode feeds untrusted bytes — what the job server reads from
+// HTTP bodies — to Decode. It must never panic, a plan that decodes must
+// encode, and its canonical form must be a fixed point of Decode → Encode.
+// Seeds: the golden plans here plus the strict-rejection inputs under
+// testdata/fuzz/FuzzPlanDecode.
+func FuzzPlanDecode(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.plan.json"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden plans to seed from: %v", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(canonicalFixedPoint)
 }

@@ -43,6 +43,13 @@ import (
 	"cityhunter/internal/stats"
 )
 
+// ModelVersion names the simulation model behind stored results. It is
+// folded into every content hash, so bumping it with any intentional change
+// of run outputs (a golden update) turns results of the old model into
+// cache misses instead of serving them. The root package's golden tests
+// pin the goldens' digest to this value.
+const ModelVersion = "1"
+
 // DefaultMaxBodyBytes bounds job submission bodies (plans are small; a
 // megabyte fits thousands of specs).
 const DefaultMaxBodyBytes = 1 << 20
@@ -376,7 +383,7 @@ func (s *Server) admit(p plan.Plan, sub submission) (*job, bool, error) {
 	}
 	doc := append(append([]byte{}, canonical...), '\n')
 	doc = append(doc, params...)
-	doc = append(doc, '\n')
+	doc = append(doc, "\nmodel="+ModelVersion+"\n"...)
 	sum := sha256.Sum256(doc)
 	hash := hex.EncodeToString(sum[:])
 

@@ -8,8 +8,9 @@ import (
 )
 
 // Store is the content-addressed on-disk result store. Every job is keyed
-// by the sha256 of its canonical plan document (envelope bytes plus the
-// run parameters; see Server hashing), under dir/<hh>/<hash>/:
+// by the sha256 of its canonical plan document (envelope bytes, the run
+// parameters and the ModelVersion; see Server hashing), under
+// dir/<hh>/<hash>/:
 //
 //	plan.json       the hashed document, so the store is self-describing
 //	spec-NNN.json   one durable SpecResult per finished campaign spec
