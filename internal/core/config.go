@@ -191,6 +191,7 @@ func NewEngine(cfg Config, seed *SeedData) (*Engine, error) {
 		linker:  lk,
 		clients: make(map[linker.TrackID]*clientTrack),
 		fbSize:  cfg.InitialFreshness,
+		ghosts:  make([]*entry, 2*cfg.GhostSize),
 	}
 	if cfg.Mode == ModePreliminary {
 		e.fbSize = 0

@@ -29,6 +29,16 @@ func (e *Engine) clientFor(m ieee80211.MAC) *clientTrack {
 	return e.clients[id]
 }
 
+// entryByID returns the database entry with the given dense id, or nil.
+func (e *Engine) entryByID(id int) *entry {
+	for _, en := range e.db.byWeight {
+		if en.insertOrder == id {
+			return en
+		}
+	}
+	return nil
+}
+
 // seedData builds a small city: one very hot venue SSID, a few chains, and
 // cafés near the attack position at (0,0).
 func seedData(t *testing.T) *SeedData {
@@ -379,15 +389,16 @@ func (e *Engine) ghostHitSetup(t *testing.T, kind BufferKind, victim ieee80211.M
 		base := time.Second
 		for i := 0; i < want && i < len(rank); i++ {
 			en := rank[len(rank)-1-i]
-			e.db.recordHit(en.ssid, base+time.Duration(i)*time.Second, 0)
+			e.db.recordHit(en, base+time.Duration(i)*time.Second, 0)
 		}
 	}
 	for round := 0; round < 50; round++ {
 		e.BroadcastReply(time.Duration(round)*time.Second, lnk(victim), e.cfg.ReplyBudget)
 		tr := e.clientFor(victim)
-		for ssid, k := range tr.sent {
-			if k == kind {
-				return ssid
+		// Scan in entry-id order so the returned SSID is deterministic.
+		for id, k := range tr.sent {
+			if BufferKind(k) == kind {
+				return e.entryByID(id).ssid
 			}
 		}
 	}
@@ -541,6 +552,36 @@ func TestFullRotationEventuallyExhausts(t *testing.T) {
 	}
 	if len(seen) != e.DBSize() {
 		t.Errorf("covered %d of %d entries", len(seen), e.DBSize())
+	}
+}
+
+// TestBroadcastReplyRepeatClientAllocs pins the reply path's allocation
+// budget: for a device the engine already tracks, a reply allocates the
+// returned slice and nothing else — no per-reply dedup set, no ghost
+// lists, no regrowth of the track's sent record.
+func TestBroadcastReplyRepeatClientAllocs(t *testing.T) {
+	e := newFull(t, nil)
+	harvester := mac(200)
+	for i := 0; i < 2000; i++ {
+		e.HarvestDirect(0, lnk(harvester), fmt.Sprintf("Net-%04d", i))
+	}
+	// Hits give the Freshness Buffer and its ghost list entries to serve.
+	for i, en := range e.TopEntries(60) {
+		e.RecordHit(time.Duration(i)*time.Second, lnk(harvester), en.SSID)
+	}
+	victim := mac(1)
+	e.BroadcastReply(time.Minute, lnk(victim), 40)
+	short := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if len(e.BroadcastReply(time.Minute, lnk(victim), 40)) != 40 {
+			short++
+		}
+	})
+	if short > 0 {
+		t.Fatalf("%d replies came back short of the 40-SSID budget", short)
+	}
+	if allocs > 1 {
+		t.Errorf("BroadcastReply for a repeat client allocates %v times per reply, want ≤ 1 (the returned slice)", allocs)
 	}
 }
 

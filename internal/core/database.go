@@ -62,7 +62,9 @@ type entry struct {
 	// lastHit is the most recent capture time; meaningful when hasHit.
 	lastHit time.Duration
 	hasHit  bool
-	// insertOrder breaks weight ties deterministically (older first).
+	// insertOrder is the entry's dense id, 0..len-1 in insertion order:
+	// it breaks weight ties deterministically (older first) and indexes
+	// the per-track sent records.
 	insertOrder int
 }
 
@@ -96,18 +98,18 @@ func (db *database) get(ssid string) (*entry, bool) {
 }
 
 // add inserts a new entry or, if the SSID exists, raises its weight to at
-// least w (keeping the original source). It reports whether a new entry was
-// created.
-func (db *database) add(ssid string, source Source, w float64) bool {
+// least w (keeping the original source). It returns the entry — nil for
+// the empty SSID — and whether it was created.
+func (db *database) add(ssid string, source Source, w float64) (*entry, bool) {
 	if ssid == "" {
-		return false
+		return nil, false
 	}
 	if e, ok := db.entries[ssid]; ok {
 		if w > e.weight {
 			e.weight = w
 			db.weightDirty = true
 		}
-		return false
+		return e, false
 	}
 	e := &entry{ssid: ssid, source: source, weight: w, insertOrder: len(db.entries)}
 	db.entries[ssid] = e
@@ -115,23 +117,17 @@ func (db *database) add(ssid string, source Source, w float64) bool {
 	db.weightDirty = true
 	db.bySSID = append(db.bySSID, e)
 	db.ssidsDirty = true
-	return true
+	return e, true
 }
 
 // bump raises an entry's weight by delta.
-func (db *database) bump(ssid string, delta float64) {
-	if e, ok := db.entries[ssid]; ok {
-		e.weight += delta
-		db.weightDirty = true
-	}
+func (db *database) bump(e *entry, delta float64) {
+	e.weight += delta
+	db.weightDirty = true
 }
 
-// recordHit registers a successful capture via ssid at the given time.
-func (db *database) recordHit(ssid string, now time.Duration, weightDelta float64) {
-	e, ok := db.entries[ssid]
-	if !ok {
-		return
-	}
+// recordHit registers a successful capture via e at the given time.
+func (db *database) recordHit(e *entry, now time.Duration, weightDelta float64) {
 	e.hits++
 	e.weight += weightDelta
 	e.lastHit = now

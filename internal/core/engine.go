@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cityhunter/internal/ieee80211"
@@ -84,13 +85,36 @@ type StateSample struct {
 }
 
 // clientTrack is the per-device untried bookkeeping (§III-A): every SSID
-// ever sent to the tracked device, with the bucket it came from. It is
-// keyed by the linker-assigned TrackID, not by raw MAC, so a linker that
-// re-identifies a rotated MAC resumes the device's rotation mid-list
-// instead of restarting from the head.
+// ever sent to the tracked device, with the bucket it came from. sent is
+// indexed by entry id (the entry's insertOrder) and holds the BufferKind,
+// 0 meaning never sent — BufferKind starts at 1. Tracks are keyed by the
+// linker-assigned TrackID, not by raw MAC, so a linker that re-identifies
+// a rotated MAC resumes the device's rotation mid-list instead of
+// restarting from the head.
 type clientTrack struct {
-	sent      map[string]BufferKind
+	sent      []uint8
 	sentCount int
+}
+
+// kind returns the bucket en was first sent from, or 0 if it never was.
+func (t *clientTrack) kind(en *entry) BufferKind {
+	if en.insertOrder < len(t.sent) {
+		return BufferKind(t.sent[en.insertOrder])
+	}
+	return 0
+}
+
+// mark records en as sent from kind unless it was sent before. The record
+// grows to the whole database (dbLen entries) at once, so a track
+// reallocates only after the database itself has grown.
+func (t *clientTrack) mark(en *entry, kind BufferKind, dbLen int) {
+	if en.insertOrder >= len(t.sent) {
+		t.sent = append(t.sent, make([]uint8, dbLen-len(t.sent))...)
+	}
+	if t.sent[en.insertOrder] == 0 {
+		t.sent[en.insertOrder] = uint8(kind)
+		t.sentCount++
+	}
 }
 
 // Engine is the City-Hunter strategy. It is not safe for concurrent use;
@@ -116,8 +140,10 @@ type Engine struct {
 	pbGhostHits int
 	fbGhostHits int
 
-	// scratchBatch is reused across selections to avoid allocation.
-	scratchBatch []string
+	// scratchBatch and ghosts (both ghost lists, GhostSize each) are
+	// reused across selections to avoid allocation.
+	scratchBatch []*entry
+	ghosts       []*entry
 
 	// om holds the observability handles; nil when uninstrumented, which
 	// keeps the BroadcastReply hot path at a single branch.
@@ -309,7 +335,7 @@ func (e *Engine) trackOf(o linker.Observation) (linker.TrackID, *clientTrack) {
 	id := e.linker.Observe(o)
 	t, ok := e.clients[id]
 	if !ok {
-		t = &clientTrack{sent: make(map[string]BufferKind)}
+		t = &clientTrack{}
 		e.clients[id] = t
 	}
 	return id, t
@@ -330,23 +356,19 @@ func (e *Engine) HarvestDirect(_ time.Duration, o linker.Observation, ssid strin
 	if ssid == "" {
 		return
 	}
-	if e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight) {
-		if e.om != nil {
-			e.om.harvests.Inc()
-			e.om.dbSize.Set(float64(e.db.len()))
-		}
-	} else {
-		e.db.bump(ssid, e.cfg.SightingWeightDelta)
+	en, created := e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight)
+	if !created {
+		e.db.bump(en, e.cfg.SightingWeightDelta)
+	} else if e.om != nil {
+		e.om.harvests.Inc()
+		e.om.dbSize.Set(float64(e.db.len()))
 	}
 	// A harvest is by definition a directed probe; normalise the
 	// observation so linkers see the disclosed SSID even when a caller
 	// hands in a bare MAC.
 	o.Directed, o.SSID = true, ssid
 	_, t := e.trackOf(o)
-	if _, dup := t.sent[ssid]; !dup {
-		t.sent[ssid] = KindMirror
-		t.sentCount++
-	}
+	t.mark(en, KindMirror, e.db.len())
 }
 
 // BroadcastReply implements attack.Strategy: SSID selection (step 3 of
@@ -364,27 +386,29 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 	}
 	_, t := e.trackOf(o)
 
-	tried := func(ssid string) bool {
-		if !e.cfg.RotateUntried {
-			return false
-		}
-		_, ok := t.sent[ssid]
-		return ok
-	}
-
+	// An entry is eligible unless it is already in this batch or, under
+	// the untried rotation, was sent to the track before. take marks each
+	// pick sent at once, so under rotation the sent record covers the
+	// batch too; without rotation (an ablation) the batch is short enough
+	// to scan.
 	batch := e.scratchBatch[:0]
-	chosen := make(map[string]BufferKind, budget)
+	eligible := func(en *entry) bool {
+		if e.cfg.RotateUntried {
+			return t.kind(en) == 0
+		}
+		return !slices.Contains(batch, en)
+	}
 	take := func(en *entry, kind BufferKind) bool {
-		if _, dup := chosen[en.ssid]; dup || tried(en.ssid) {
+		if !eligible(en) {
 			return false
 		}
-		chosen[en.ssid] = kind
-		batch = append(batch, en.ssid)
+		t.mark(en, kind, e.db.len())
+		batch = append(batch, en)
 		return len(batch) >= budget
 	}
 
 	if e.cfg.Mode == ModeFull {
-		e.selectFull(budget, tried, chosen, take)
+		e.selectFull(budget, eligible, take)
 	}
 	// Preliminary mode — and full-mode backfill when the freshness side
 	// could not fill its share. The §III design has no weights yet, so
@@ -402,12 +426,6 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 		}
 	}
 
-	for _, ssid := range batch {
-		if _, dup := t.sent[ssid]; !dup {
-			t.sent[ssid] = chosen[ssid]
-			t.sentCount++
-		}
-	}
 	e.scratchBatch = batch
 	if e.om != nil {
 		e.om.replies.Inc()
@@ -416,14 +434,16 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 		e.om.relinks.Set(float64(e.linker.Links()))
 	}
 	out := make([]string, len(batch))
-	copy(out, batch)
+	for i, en := range batch {
+		out[i] = en.ssid
+	}
 	return out
 }
 
 // selectFull fills the batch from PB, FB and both ghost lists. Both the
 // regular buffers and the ghost candidates honour the per-client untried
 // rotation: a client never wastes a slot on an SSID it already received.
-func (e *Engine) selectFull(budget int, tried func(string) bool, chosen map[string]BufferKind, take func(*entry, BufferKind) bool) {
+func (e *Engine) selectFull(budget int, eligible func(*entry) bool, take func(*entry, BufferKind) bool) {
 	regular := budget - 2*e.cfg.GhostPicks
 	if regular < 0 {
 		regular = 0
@@ -433,17 +453,11 @@ func (e *Engine) selectFull(budget int, tried func(string) bool, chosen map[stri
 		fb = regular
 	}
 	pb := regular - fb
-
-	eligible := func(en *entry) bool {
-		if _, dup := chosen[en.ssid]; dup {
-			return false
-		}
-		return !tried(en.ssid)
-	}
+	g := e.cfg.GhostSize
 
 	// Popularity Buffer: the pb highest-weight eligible entries; the next
 	// GhostSize eligible entries form its ghost list.
-	var ghostPop []*entry
+	ghostPop := e.ghosts[:0:g]
 	taken := 0
 	for _, en := range e.db.popularityRank() {
 		if !eligible(en) {
@@ -465,7 +479,7 @@ func (e *Engine) selectFull(budget int, tried func(string) bool, chosen map[stri
 
 	// Freshness Buffer: the fb most recently hit eligible entries; the
 	// following GhostSize form its ghost list.
-	var ghostFresh []*entry
+	ghostFresh := e.ghosts[g : g : 2*g]
 	taken = 0
 	for _, en := range e.db.freshnessRank() {
 		if !eligible(en) {
@@ -528,10 +542,11 @@ func (e *Engine) AbsorbHit(now time.Duration, ssid string) {
 	if ssid == "" {
 		return
 	}
-	if e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight) && e.om != nil {
+	en, created := e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight)
+	if created && e.om != nil {
 		e.om.dbSize.Set(float64(e.db.len()))
 	}
-	e.db.recordHit(ssid, now, e.cfg.HitWeightDelta)
+	e.db.recordHit(en, now, e.cfg.HitWeightDelta)
 }
 
 // RecordHit implements attack.Strategy: weight and freshness updates plus
@@ -539,7 +554,10 @@ func (e *Engine) AbsorbHit(now time.Duration, ssid string) {
 // list means the Popularity Buffer was too small, so it grows at FB's
 // expense, and vice versa — the ARC-inspired balancing of §IV-C.
 func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid string) {
-	e.db.recordHit(ssid, now, e.cfg.HitWeightDelta)
+	en, known := e.db.get(ssid)
+	if known {
+		e.db.recordHit(en, now, e.cfg.HitWeightDelta)
+	}
 
 	// Resolve the victim to its device track. An associating victim has
 	// almost always probed first, so Lookup hits; the Observe fallback
@@ -548,15 +566,14 @@ func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid st
 	if !linked {
 		id = e.linker.Observe(victim)
 	}
-	kind := KindMirror
-	if t, ok := e.clients[id]; ok {
-		if k, ok := t.sent[ssid]; ok {
-			kind = k
-		}
-	}
-	source := SourceDirectProbe
-	if en, ok := e.db.get(ssid); ok {
+	kind, source := KindMirror, SourceDirectProbe
+	if known {
 		source = en.source
+		if t, ok := e.clients[id]; ok {
+			if k := t.kind(en); k != 0 {
+				kind = k
+			}
+		}
 	}
 	e.hits = append(e.hits, HitRecord{MAC: victim.MAC, Track: id, SSID: ssid, At: now, Source: source, Kind: kind})
 

@@ -102,10 +102,9 @@ func (g *HashGrid) Len() int {
 // global order must impose their own (ids are ints — sort them).
 //
 // The scan spans ceil(radius/cellSize) rings of cells on each side of p's
-// cell, so radii larger than the cell size are handled exactly: the medium
-// queries at its radio range (one ring, by construction of its cell size),
-// while the level-of-detail promotion scheduler queries at promotion radii
-// many times the cell size and still sees every candidate.
+// cell, so a radius larger than the cell size still sees every candidate.
+// The radio medium, the grid's user, queries at its radio range: one ring,
+// by construction of its cell size.
 func (g *HashGrid) AppendNeighborhood(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst

@@ -320,10 +320,7 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 	// and draws only from its own spawn-derived streams thereafter.
 	var tiers *tierManager
 	if ff != nil {
-		tiers, err = newTierManager(d.envs, *ff, d.sites)
-		if err != nil {
-			return nil, err
-		}
+		tiers = newTierManager(d.envs, *ff, d.sites)
 		tiers.spawn(duration)
 	}
 

@@ -179,12 +179,12 @@ func farFieldMAC(id int) ieee80211.MAC {
 }
 
 // tierManager owns the far-field tier: it spawns the statistical
-// population, turns routes into promotion windows via the site grid, and
-// performs the promote/demote transitions during the run. Each window's
-// promote and demote run on the engine of the site that owns its boundary
-// — every site's is the same engine on the serial engine — so the tier
-// accounting is kept per site, touched only by the engine running that
-// site, and folded after the run.
+// population, turns routes into promotion windows against the site
+// positions, and performs the promote/demote transitions during the run.
+// Each window's promote and demote run on the engine of the site that
+// owns its boundary — every site's is the same engine on the serial
+// engine — so the tier accounting is kept per site, touched only by the
+// engine running that site, and folded after the run.
 //
 // On the partitioned engine a pedestrian's consecutive windows at
 // different sites hand its snapshot and RNG stream across partitions
@@ -198,7 +198,6 @@ type tierManager struct {
 	cfg   FarFieldConfig
 	sites []*site
 
-	grid    *geo.HashGrid
 	sitePos []geo.Point
 
 	peds []*pedestrian
@@ -236,14 +235,9 @@ type tierDelta struct {
 	delta int
 }
 
-func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierManager, error) {
-	grid, err := geo.NewHashGrid(cfg.Radius)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: far-field grid: %w", err)
-	}
-	tm := &tierManager{envs: envs, cfg: cfg, sites: sites, grid: grid, perSite: make([]tierSite, len(sites))}
+func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) *tierManager {
+	tm := &tierManager{envs: envs, cfg: cfg, sites: sites, perSite: make([]tierSite, len(sites))}
 	for i, st := range sites {
-		tm.grid.Insert(int32(i), st.venue.Position)
 		tm.sitePos = append(tm.sitePos, st.venue.Position)
 		s := &tm.perSite[i]
 		s.stats = FarFieldSite{Name: st.venue.Name}
@@ -255,7 +249,7 @@ func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierMan
 			tm.mDemotions = env.rt.Metrics.Counter("lod_demotions")
 		}
 	}
-	return tm, nil
+	return tm
 }
 
 // spawn creates the far-field population for one run of the given horizon
@@ -288,26 +282,22 @@ func (tm *tierManager) spawn(horizon time.Duration) {
 
 // windows computes the pedestrian's stays inside promotion boundaries.
 func (tm *tierManager) windows(route mobility.Route) []promoWindow {
-	return promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, route)
+	return promoWindows(tm.sitePos, tm.cfg.Radius, route)
 }
 
 // promoWindows computes a route's stays inside promotion boundaries,
 // merged and in time order: per transit leg an analytic segment–disk
-// intersection against every candidate site from the grid, per dwell leg a
-// point-in-disk test. The grid query radius — half the leg length plus the
-// promotion radius — routinely exceeds the grid's cell size, which is why
-// AppendNeighborhood scans as many rings as the radius needs.
-func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
+// intersection against every site, per dwell leg a point-in-disk test
+// against the sites in id order (the first containing site owns the
+// window). A deployment has a handful of sites, so testing each directly
+// is cheaper than any spatial index over kilometre-long legs.
+func promoWindows(sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
 	var raw []promoWindow
-	var cand []int32
 	for _, leg := range route.Legs {
 		switch leg.Kind {
 		case mobility.LegTransit:
-			mid := leg.From.Add(leg.To.Sub(leg.From).Scale(0.5))
-			cand = grid.AppendNeighborhood(cand[:0], mid, leg.From.Dist(leg.To)/2+r)
-			sortSiteIDs(cand)
-			for _, si := range cand {
-				t0, t1, ok := geo.SegmentDiskCrossings(leg.From, leg.To, sitePos[si], r)
+			for si, pos := range sitePos {
+				t0, t1, ok := geo.SegmentDiskCrossings(leg.From, leg.To, pos, r)
 				if !ok {
 					continue
 				}
@@ -315,15 +305,13 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 				raw = append(raw, promoWindow{
 					start: leg.Start + time.Duration(t0*float64(span)),
 					end:   leg.Start + time.Duration(t1*float64(span)),
-					site:  int(si),
+					site:  si,
 				})
 			}
 		case mobility.LegDwell:
-			cand = grid.AppendNeighborhood(cand[:0], leg.To, r)
-			sortSiteIDs(cand)
-			for _, si := range cand {
-				if leg.To.Dist(sitePos[si]) <= r {
-					raw = append(raw, promoWindow{start: leg.Start, end: leg.End, site: int(si)})
+			for si, pos := range sitePos {
+				if leg.To.Dist(pos) <= r {
+					raw = append(raw, promoWindow{start: leg.Start, end: leg.End, site: si})
 					break
 				}
 			}
@@ -353,12 +341,6 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 		}
 	}
 	return out
-}
-
-// sortSiteIDs orders grid candidates so window construction is independent
-// of grid bucket order.
-func sortSiteIDs(ids []int32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // promote raises a pedestrian to full client fidelity, on the engine of

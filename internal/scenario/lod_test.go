@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -172,15 +174,8 @@ func TestFarFieldAwayFromSitesLeavesVenuesUntouched(t *testing.T) {
 // transit leg clipping a boundary opens a window strictly inside the leg,
 // a dwell inside a boundary spans the whole leg, and overlaps merge.
 func TestFarFieldWindows(t *testing.T) {
-	grid, err := geo.NewHashGrid(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid.Insert(0, geo.Pt(500, 0))
-	grid.Insert(1, geo.Pt(560, 0))
 	tm := &tierManager{
 		cfg:     FarFieldConfig{Radius: 100},
-		grid:    grid,
 		sitePos: []geo.Point{geo.Pt(500, 0), geo.Pt(560, 0)},
 	}
 
@@ -218,6 +213,87 @@ func TestFarFieldWindows(t *testing.T) {
 	if ws := tm.windows(far); len(ws) != 0 {
 		t.Errorf("distant route produced windows: %+v", ws)
 	}
+}
+
+// TestPromoWindowsProperty checks promotion windows against the routes they
+// came from, over seeded random site layouts and itineraries: windows are
+// non-empty, sorted and disjoint, and a sampled instant falls inside a
+// window exactly when the route's position at that instant lies within the
+// promotion radius of some site. Layouts spread stops over kilometres so
+// many transit legs run ten radii or more, and the entry area sits apart
+// from the sites. Instants whose position is within tol of a boundary are
+// skipped: window edges are truncated to whole nanoseconds.
+func TestPromoWindowsProperty(t *testing.T) {
+	const tol = 1e-3 // metres
+	longLegs, inside, outside := 0, 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := 40 + 160*rng.Float64()
+		sitePos := make([]geo.Point, 1+rng.Intn(5))
+		var stops []mobility.RouteStop
+		for i := range sitePos {
+			sitePos[i] = geo.Pt(4000*rng.Float64()-2000, 4000*rng.Float64()-2000)
+			// Some stops sit on a site, some straddle a boundary.
+			stops = append(stops, mobility.RouteStop{Pos: sitePos[i], Radius: r * 2 * rng.Float64(), Weight: 1})
+		}
+		for i := 0; i < 3; i++ {
+			stops = append(stops, mobility.RouteStop{
+				Pos: geo.Pt(6000*rng.Float64()-3000, 6000*rng.Float64()-3000), Radius: 300, Weight: 1})
+		}
+		entry := geo.NewRect(geo.Pt(3000, 3000), geo.Pt(4000, 4000)) // clear of every site
+		for p := 0; p < 25; p++ {
+			from := geo.Pt(entry.Min.X+rng.Float64()*entry.Width(), entry.Min.Y+rng.Float64()*entry.Height())
+			route := mobility.DefaultRoute().Sample(rng, time.Duration(rng.Int63n(int64(time.Hour))), from, stops)
+			for _, leg := range route.Legs {
+				if leg.Kind == mobility.LegTransit && leg.From.Dist(leg.To) >= 10*r {
+					longLegs++
+				}
+			}
+			ws := promoWindows(sitePos, r, route)
+			for i, w := range ws {
+				if w.end <= w.start {
+					t.Fatalf("seed %d: empty window %+v", seed, w)
+				}
+				if i > 0 && w.start <= ws[i-1].end {
+					t.Fatalf("seed %d: window %+v overlaps or precedes %+v", seed, w, ws[i-1])
+				}
+				if w.site < 0 || w.site >= len(sitePos) {
+					t.Fatalf("seed %d: window credits site %d of %d", seed, w.site, len(sitePos))
+				}
+			}
+			first, last := route.Legs[0].Start, route.Legs[len(route.Legs)-1].End
+			for k := 0; k < 200; k++ {
+				at := first + time.Duration(rng.Int63n(int64(last-first)))
+				near := math.Inf(1)
+				for _, sp := range sitePos {
+					near = math.Min(near, route.At(at).Dist(sp))
+				}
+				if math.Abs(near-r) <= tol {
+					continue
+				}
+				inWindow := false
+				for _, w := range ws {
+					if w.start <= at && at < w.end {
+						inWindow = true
+						break
+					}
+				}
+				if inWindow != (near < r) {
+					t.Fatalf("seed %d: at %v the route is %.3f m from the nearest site (radius %.1f) but inWindow=%v; windows %+v",
+						seed, at, near, r, inWindow, ws)
+				}
+				if inWindow {
+					inside++
+				} else {
+					outside++
+				}
+			}
+		}
+	}
+	if longLegs == 0 || inside == 0 || outside == 0 {
+		t.Fatalf("layouts too tame: %d legs of ≥ 10 radii, %d samples inside, %d outside", longLegs, inside, outside)
+	}
+	t.Logf("%d legs of ≥ 10 radii; %d samples inside a window, %d outside", longLegs, inside, outside)
 }
 
 // TestFarFieldChurn promotes and demotes the same pedestrians repeatedly —
