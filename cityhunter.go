@@ -671,7 +671,8 @@ func (w *World) Run(venue Venue, kind AttackKind, slot int, duration time.Durati
 // attachments for the virtual time actually simulated, with
 // Result.Duration truncated to that time — together with a non-nil error
 // for which errors.Is(err, ctx.Err()) holds. Errors detected before the
-// simulation starts (bad slot, bad fractions) return a nil Result.
+// simulation starts (bad venue, bad slot, bad fractions) return a nil
+// Result.
 func (w *World) RunContext(ctx context.Context, venue Venue, kind AttackKind, slot int, duration time.Duration, opts ...RunOption) (*Result, error) {
 	cfg := w.baseRunConfig()
 	cfg.Venue = venue

@@ -133,6 +133,25 @@ func TestRunInvalidArgs(t *testing.T) {
 	}
 }
 
+// TestRunValidatesVenue pins that a single-venue run rejects a venue that
+// plans, campaigns and the job server would reject: a non-positive radio
+// range is a FieldError naming radioRange, not a degenerate simulation.
+func TestRunValidatesVenue(t *testing.T) {
+	w := apiWorld(t)
+	for _, r := range []float64{0, -5} {
+		v := cityhunter.CanteenVenue()
+		v.RadioRange = r
+		res, err := w.Run(v, cityhunter.CityHunter, 4, time.Minute)
+		var fe *cityhunter.FieldError
+		if !errors.As(err, &fe) || fe.Path != "radioRange" {
+			t.Errorf("RadioRange %v: err = %v, want a FieldError for radioRange", r, err)
+		}
+		if res != nil {
+			t.Errorf("RadioRange %v: got a result alongside the error", r)
+		}
+	}
+}
+
 func TestRunWithDeauthOption(t *testing.T) {
 	w := apiWorld(t)
 	res, err := w.Run(cityhunter.CanteenVenue(), cityhunter.CityHunter,

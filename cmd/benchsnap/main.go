@@ -61,7 +61,7 @@ var tiers = []tier{
 	{pkg: "./internal/campaign", bench: "^BenchmarkCampaignGrid$", benchtime: "2x"},
 	{pkg: "./internal/core", bench: "^BenchmarkBroadcastReply", benchtime: "200000x"},
 	{pkg: "./internal/ieee80211", bench: "Marshal", benchtime: "2000000x"},
-	{pkg: "./internal/geo", bench: "^(BenchmarkWithinRadius|BenchmarkNearest100)$", benchtime: "100000x"},
+	{pkg: "./internal/geo", bench: "^BenchmarkWithinRadius$", benchtime: "100000x"},
 	{pkg: "./internal/sim", bench: ".", benchtime: "100000x"},
 }
 

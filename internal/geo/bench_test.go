@@ -5,35 +5,23 @@ import (
 	"testing"
 )
 
-func benchIndex(b *testing.B, n int) (*GridIndex, []Point) {
-	b.Helper()
-	g, err := NewGridIndex(NewRect(Pt(0, 0), Pt(8000, 8000)), 125)
+// BenchmarkWithinRadius queries a 12 000-point, 8 km square city at a
+// 500 m radius over 125 m cells: the WiGLE nearby-SSID query shape.
+func BenchmarkWithinRadius(b *testing.B) {
+	g, err := NewHashGrid(125)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	pts := make([]Point, n)
+	pts := make([]Point, 12000)
 	for i := range pts {
 		pts[i] = Pt(rng.Float64()*8000, rng.Float64()*8000)
-		g.Insert(i, pts[i])
+		g.Insert(int32(i), pts[i])
 	}
-	return g, pts
-}
-
-func BenchmarkWithinRadius(b *testing.B) {
-	g, pts := benchIndex(b, 12000)
+	pos := func(id int32) Point { return pts[id] }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.WithinRadius(pts[i%len(pts)], 500)
-	}
-}
-
-func BenchmarkNearest100(b *testing.B) {
-	g, pts := benchIndex(b, 12000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Nearest(pts[i%len(pts)], 100)
+		g.WithinRadius(pts[i%len(pts)], 500, pos)
 	}
 }

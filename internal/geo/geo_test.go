@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -140,147 +139,5 @@ func TestRectClamp(t *testing.T) {
 		if got := r.Clamp(tt.p); got != tt.want {
 			t.Errorf("Clamp(%v) = %v, want %v", tt.p, got, tt.want)
 		}
-	}
-}
-
-func TestNewGridIndexValidation(t *testing.T) {
-	if _, err := NewGridIndex(NewRect(Pt(0, 0), Pt(10, 10)), 0); err == nil {
-		t.Error("want error for zero cell size")
-	}
-	if _, err := NewGridIndex(Rect{}, 10); err == nil {
-		t.Error("want error for empty bounds")
-	}
-}
-
-func mustGrid(t *testing.T, b Rect, cell float64) *GridIndex {
-	t.Helper()
-	g, err := NewGridIndex(b, cell)
-	if err != nil {
-		t.Fatalf("NewGridIndex: %v", err)
-	}
-	return g
-}
-
-func TestGridWithinRadius(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
-	pts := []Point{Pt(10, 10), Pt(12, 10), Pt(50, 50), Pt(90, 90)}
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	got := g.WithinRadius(Pt(11, 10), 5)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("WithinRadius = %v, want [0 1]", got)
-	}
-	if got := g.WithinRadius(Pt(11, 10), -1); got != nil {
-		t.Errorf("negative radius = %v, want nil", got)
-	}
-	if got := g.WithinRadius(Pt(200, 200), 5); len(got) != 0 {
-		t.Errorf("far query = %v, want empty", got)
-	}
-}
-
-func TestGridWithinRadiusOrdering(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 7)
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]Point, 200)
-	for i := range pts {
-		pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		g.Insert(i, pts[i])
-	}
-	q := Pt(40, 40)
-	ids := g.WithinRadius(q, 30)
-	for i := 1; i < len(ids); i++ {
-		if pts[ids[i-1]].Dist(q) > pts[ids[i]].Dist(q) {
-			t.Fatalf("results not sorted by distance at %d", i)
-		}
-	}
-	// Cross-check membership against brute force.
-	want := 0
-	for _, p := range pts {
-		if p.Dist(q) <= 30 {
-			want++
-		}
-	}
-	if len(ids) != want {
-		t.Errorf("got %d results, brute force %d", len(ids), want)
-	}
-}
-
-func TestGridNearest(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
-	for i := 0; i < 10; i++ {
-		g.Insert(i, Pt(float64(i*10), 0))
-	}
-	got := g.Nearest(Pt(0, 0), 3)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("Nearest = %v, want [0 1 2]", got)
-	}
-	if got := g.Nearest(Pt(0, 0), 0); got != nil {
-		t.Errorf("Nearest k=0 = %v, want nil", got)
-	}
-	// Asking for more than exists returns everything.
-	if got := g.Nearest(Pt(0, 0), 50); len(got) != 10 {
-		t.Errorf("Nearest k=50 returned %d, want 10", len(got))
-	}
-}
-
-func TestGridNearestMatchesBruteForce(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(1000, 1000)), 25)
-	rng := rand.New(rand.NewSource(7))
-	pts := make([]Point, 500)
-	for i := range pts {
-		pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
-		g.Insert(i, pts[i])
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got := g.Nearest(q, 5)
-		if len(got) != 5 {
-			t.Fatalf("Nearest returned %d", len(got))
-		}
-		// The 5th nearest distance must match brute force.
-		dists := make([]float64, len(pts))
-		for i, p := range pts {
-			dists[i] = p.Dist(q)
-		}
-		worst := 0.0
-		for _, id := range got {
-			if d := pts[id].Dist(q); d > worst {
-				worst = d
-			}
-		}
-		better := 0
-		for _, d := range dists {
-			if d < worst-1e-9 {
-				better++
-			}
-		}
-		if better > 5 {
-			t.Fatalf("trial %d: %d points closer than worst returned", trial, better)
-		}
-	}
-}
-
-func TestGridClampsOutOfBounds(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
-	g.Insert(1, Pt(-50, -50)) // clamped into border cell, still findable
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	if got := g.WithinRadius(Pt(-50, -50), 1); len(got) != 1 {
-		t.Errorf("out-of-bounds item not found: %v", got)
-	}
-}
-
-func TestGridLen(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(10, 10)), 1)
-	if g.Len() != 0 {
-		t.Fatalf("empty Len = %d", g.Len())
-	}
-	for i := 0; i < 42; i++ {
-		g.Insert(i, Pt(5, 5))
-	}
-	if g.Len() != 42 {
-		t.Errorf("Len = %d, want 42", g.Len())
 	}
 }

@@ -1,22 +1,27 @@
 package geo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CellKey identifies one cell of a HashGrid.
 type CellKey struct{ X, Y int32 }
 
-// HashGrid is a sparse uniform grid over the unbounded plane. Unlike
-// GridIndex it needs no bounds up front and supports removal and movement,
-// which makes it the right shape for a live set of stations: insert on
-// attach, move on position updates, remove on detach, and query the cells
-// covering a radius at delivery time.
+// HashGrid is a sparse uniform grid over the unbounded plane, and the one
+// spatial index: it needs no bounds and supports removal and movement,
+// which serves the radio medium's live stations (insert on attach, move,
+// remove on detach, neighborhood query per broadcast) and the WiGLE
+// database's access points (insert once, exact radius queries).
 //
 // Items are referenced by caller-supplied int32 ids; the grid stores no
-// payloads. Neighborhood visits enumerate cells in deterministic row-major
-// order, so two identical grids always yield the same id sequence.
+// payloads. Queries enumerate cells in deterministic row-major order,
+// clamped to the key range of the cells ever inserted into, so a radius
+// far beyond the occupied region costs no empty-cell visits.
 type HashGrid struct {
 	cellSize float64
 	cells    map[CellKey][]int32
+	lo, hi   CellKey // occupied key range; lo > hi until the first Insert
 }
 
 // NewHashGrid builds a grid with cellSize-metre cells. cellSize must be
@@ -25,7 +30,8 @@ func NewHashGrid(cellSize float64) (*HashGrid, error) {
 	if cellSize <= 0 {
 		return nil, fmt.Errorf("geo: cell size %v must be positive", cellSize)
 	}
-	return &HashGrid{cellSize: cellSize, cells: make(map[CellKey][]int32)}, nil
+	return &HashGrid{cellSize: cellSize, cells: make(map[CellKey][]int32),
+		lo: CellKey{math.MaxInt32, math.MaxInt32}, hi: CellKey{math.MinInt32, math.MinInt32}}, nil
 }
 
 // Key returns the cell containing p.
@@ -50,6 +56,8 @@ func floorDiv(v, size float64) int {
 func (g *HashGrid) Insert(id int32, p Point) CellKey {
 	k := g.Key(p)
 	g.cells[k] = append(g.cells[k], id)
+	g.lo = CellKey{min(g.lo.X, k.X), min(g.lo.Y, k.Y)}
+	g.hi = CellKey{max(g.hi.X, k.X), max(g.hi.Y, k.Y)}
 	return k
 }
 
@@ -80,8 +88,7 @@ func (g *HashGrid) Move(id int32, from CellKey, p Point) CellKey {
 		return k
 	}
 	g.Remove(id, from)
-	g.cells[k] = append(g.cells[k], id)
-	return k
+	return g.Insert(id, p)
 }
 
 // Len returns the number of items in the grid.
@@ -91,6 +98,17 @@ func (g *HashGrid) Len() int {
 		n += len(ids)
 	}
 	return n
+}
+
+// span returns the inclusive cell range covering the square of half-width
+// radius around p, clamped to the occupied key range. It stays in int so
+// that a huge radius cannot wrap an int32 key.
+func (g *HashGrid) span(p Point, radius float64) (x0, y0, x1, y1 int) {
+	x0 = max(floorDiv(p.X-radius, g.cellSize), int(g.lo.X))
+	y0 = max(floorDiv(p.Y-radius, g.cellSize), int(g.lo.Y))
+	x1 = min(floorDiv(p.X+radius, g.cellSize), int(g.hi.X))
+	y1 = min(floorDiv(p.Y+radius, g.cellSize), int(g.hi.Y))
+	return x0, y0, x1, y1
 }
 
 // AppendNeighborhood appends to dst the ids of every item whose cell
@@ -103,18 +121,65 @@ func (g *HashGrid) Len() int {
 //
 // The scan spans ceil(radius/cellSize) rings of cells on each side of p's
 // cell, so a radius larger than the cell size still sees every candidate.
-// The radio medium, the grid's user, queries at its radio range: one ring,
-// by construction of its cell size.
+// The radio medium queries at its radio range: one ring, by construction
+// of its cell size. Exact, distance-ordered queries use WithinRadius.
 func (g *HashGrid) AppendNeighborhood(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst
 	}
-	lo := g.Key(Point{X: p.X - radius, Y: p.Y - radius})
-	hi := g.Key(Point{X: p.X + radius, Y: p.Y + radius})
-	for cy := lo.Y; cy <= hi.Y; cy++ {
-		for cx := lo.X; cx <= hi.X; cx++ {
-			dst = append(dst, g.cells[CellKey{X: cx, Y: cy}]...)
+	x0, y0, x1, y1 := g.span(p, radius)
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			dst = append(dst, g.cells[CellKey{X: int32(cx), Y: int32(cy)}]...)
 		}
 	}
 	return dst
+}
+
+// WithinRadius returns the ids of all items within radius metres of p,
+// nearest first, ties by ascending id; pos maps an id to its position. A
+// negative radius returns nil.
+func (g *HashGrid) WithinRadius(p Point, radius float64, pos func(int32) Point) []int32 {
+	if radius < 0 {
+		return nil
+	}
+	r2 := radius * radius
+	var found []distItem
+	x0, y0, x1, y1 := g.span(p, radius)
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			for _, id := range g.cells[CellKey{X: int32(cx), Y: int32(cy)}] {
+				if d2 := pos(id).Dist2(p); d2 <= r2 {
+					found = append(found, distItem{id: id, d2: d2})
+				}
+			}
+		}
+	}
+	sortByDist(found)
+	ids := make([]int32, len(found))
+	for i, f := range found {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+type distItem struct {
+	id int32
+	d2 float64
+}
+
+// sortByDist is an insertion sort on (d2, id); it allocates nothing.
+func sortByDist(items []distItem) {
+	for i := 1; i < len(items); i++ {
+		for j := i; j > 0 && less(items[j], items[j-1]); j-- {
+			items[j], items[j-1] = items[j-1], items[j]
+		}
+	}
+}
+
+func less(a, b distItem) bool {
+	if a.d2 != b.d2 {
+		return a.d2 < b.d2
+	}
+	return a.id < b.id
 }

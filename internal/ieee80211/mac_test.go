@@ -151,3 +151,21 @@ func TestIsBroadcast(t *testing.T) {
 		t.Error("near-broadcast reported broadcast")
 	}
 }
+
+// FuzzParseMAC checks that ParseMAC never panics and that every address it
+// accepts survives a String → ParseMAC round trip.
+func FuzzParseMAC(f *testing.F) {
+	for _, s := range []string{"02:00:5e:10:00:01", "FF:ff:FF:ff:FF:ff", "02:00:5e:10:00", "zz:00:5e:10:00:01", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMAC(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseMAC(m.String())
+		if err != nil || back != m {
+			t.Fatalf("ParseMAC(%q) = %v, but ParseMAC(%q) = %v, %v", s, m, m.String(), back, err)
+		}
+	})
+}

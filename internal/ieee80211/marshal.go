@@ -170,7 +170,10 @@ func Unmarshal(b []byte) (*Frame, error) {
 	}
 }
 
-// parseElements walks the information elements, filling SSID and Channel.
+// parseElements walks the information elements, filling SSID, plus
+// Channel for beacons and probe responses and Fingerprint for probe
+// requests — the subtypes whose Marshal emits those elements, so that a
+// decoded frame re-marshals to bytes that decode to the same frame.
 // ssidRequired marks frames whose body must carry an SSID element (probe
 // responses, beacons, association requests); probe requests carry one too
 // but it may be zero length (wildcard) so presence is still required there —
@@ -194,11 +197,11 @@ func (f *Frame) parseElements(body []byte, ssidRequired bool) error {
 			f.SSID = string(payload)
 			sawSSID = true
 		case elemDSParameterSet:
-			if len(payload) == 1 {
+			if len(payload) == 1 && (f.Subtype == SubtypeProbeResponse || f.Subtype == SubtypeBeacon) {
 				f.Channel = payload[0]
 			}
 		case elemVendorSpecific:
-			if len(payload) == fingerprintElemLen &&
+			if f.Subtype == SubtypeProbeRequest && len(payload) == fingerprintElemLen &&
 				payload[0] == fingerprintOUI[0] && payload[1] == fingerprintOUI[1] && payload[2] == fingerprintOUI[2] {
 				f.Fingerprint = binary.LittleEndian.Uint32(payload[3:7])
 			}

@@ -279,3 +279,35 @@ func TestMaxResponsesPerScanIs40(t *testing.T) {
 		t.Errorf("MaxResponsesPerScan = %d, want 40 (paper's limit)", MaxResponsesPerScan)
 	}
 }
+
+// FuzzUnmarshal feeds untrusted frame bytes — what a capture file or a
+// sniffer hands the decoder — to Unmarshal. It must never panic, and a
+// frame that decodes must re-marshal to bytes that decode to an equal
+// frame. Seeds: every sample frame plus the inputs under
+// testdata/fuzz/FuzzUnmarshal.
+func FuzzUnmarshal(f *testing.F) {
+	for _, fr := range sampleFrames() {
+		b, err := fr.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		wire, err := got.Marshal()
+		if err != nil {
+			t.Fatalf("decoded frame %#v does not marshal: %v", *got, err)
+		}
+		again, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("re-marshalled frame %x does not decode: %v", wire, err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip changed the frame:\n got  %#v\n want %#v", *again, *got)
+		}
+	})
+}

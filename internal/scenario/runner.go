@@ -251,7 +251,8 @@ func Run(cfg Config, slot int, duration time.Duration) (*Result, error) {
 // time reached when the run stopped (Result.Duration is that partial
 // virtual time, not the requested one) — together with a non-nil error
 // wrapping ctx.Err(). Configuration errors detected before the simulation
-// starts return a nil Result as Run does.
+// starts (an invalid venue, slot, duration or fraction) return a nil
+// Result as Run does.
 //
 // Internally the run composes the same four layers a multi-site
 // Deployment uses: world build (newRunEnv), knowledge (buildStrategy),
@@ -260,6 +261,9 @@ func Run(cfg Config, slot int, duration time.Duration) (*Result, error) {
 func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duration) (*Result, error) {
 	if cfg.City == nil || cfg.HeatMap == nil {
 		return nil, fmt.Errorf("scenario: city and heat map are required")
+	}
+	if err := cfg.Venue.Validate(); err != nil {
+		return nil, err
 	}
 	if slot < 0 || slot >= cfg.Venue.Profile.Slots() {
 		return nil, fmt.Errorf("scenario: slot %d outside profile (0..%d)", slot, cfg.Venue.Profile.Slots()-1)

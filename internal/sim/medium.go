@@ -63,9 +63,9 @@ type Medium struct {
 	order []Station
 	index map[ieee80211.MAC]int
 
-	// grid buckets attached stations by position for broadcast delivery;
-	// cellKeys caches each slot's current cell. grid is nil when the
-	// medium has no positive range (everything falls back to a full scan).
+	// grid buckets attached stations by position for broadcast delivery,
+	// one maxRange-sized cell per range disk; cellKeys caches each slot's
+	// current cell.
 	grid     *geo.HashGrid
 	cellKeys []geo.CellKey
 	// scratch is the reusable broadcast candidate buffer. Delivery never
@@ -213,11 +213,21 @@ func WithSoftEdge(inner float64) MediumOption {
 // NewMedium returns a medium on engine where stations hear each other
 // within radius metres (unit-disk propagation by default). The paper's
 // Raspberry Pi at 100 mW covers roughly a 50 m disk in open indoor space.
+// radius must be positive; NewMedium panics otherwise (callers validate
+// venue ranges before building a medium).
 func NewMedium(engine *Engine, radius float64, opts ...MediumOption) *Medium {
+	// One cell per range disk: a 3×3 neighborhood always covers the
+	// transmitter's reach, and typical venues keep the crowd within a
+	// handful of cells.
+	grid, err := geo.NewHashGrid(radius)
+	if err != nil {
+		panic(fmt.Sprintf("sim: radio range %v must be positive", radius))
+	}
 	m := &Medium{
 		engine:       engine,
 		rng:          diskRange{radius: radius},
 		maxRange:     radius,
+		grid:         grid,
 		index:        make(map[ieee80211.MAC]int),
 		promiscIndex: make(map[ieee80211.MAC]int),
 		busyUntil:    make(map[ieee80211.MAC]time.Duration),
@@ -227,12 +237,6 @@ func NewMedium(engine *Engine, radius float64, opts ...MediumOption) *Medium {
 	}
 	if (m.loss > 0 || m.needRNG) && m.lossRNG == nil {
 		m.lossRNG = rand.New(rand.NewSource(1))
-	}
-	if radius > 0 {
-		// One cell per range disk: a 3×3 neighborhood always covers the
-		// transmitter's reach, and typical venues keep the crowd within a
-		// handful of cells.
-		m.grid, _ = geo.NewHashGrid(radius)
 	}
 	return m
 }
@@ -264,9 +268,7 @@ func (m *Medium) Attach(s Station) error {
 	i := len(m.order)
 	m.index[s.Addr()] = i
 	m.order = append(m.order, s)
-	if m.grid != nil {
-		m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
-	}
+	m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
 	return nil
 }
 
@@ -307,9 +309,7 @@ func (m *Medium) Detach(addr ieee80211.MAC) {
 	if !ok {
 		return
 	}
-	if m.grid != nil {
-		m.grid.Remove(int32(i), m.cellKeys[i])
-	}
+	m.grid.Remove(int32(i), m.cellKeys[i])
 	m.order[i] = nil
 	delete(m.index, addr)
 	delete(m.busyUntil, addr)
@@ -323,9 +323,6 @@ func (m *Medium) Detach(addr ieee80211.MAC) {
 // so movers may report unconditionally — before Attach, after Detach, or
 // for promiscuous stations (which are not spatially indexed).
 func (m *Medium) Moved(addr ieee80211.MAC) {
-	if m.grid == nil {
-		return
-	}
 	i, ok := m.index[addr]
 	if !ok {
 		return
@@ -350,15 +347,11 @@ func (m *Medium) maybeCompact() {
 		}
 	}
 	m.order = compact
-	if m.grid != nil {
-		m.grid, _ = geo.NewHashGrid(m.maxRange)
-		m.cellKeys = m.cellKeys[:0]
-	}
+	m.grid, _ = geo.NewHashGrid(m.maxRange)
+	m.cellKeys = m.cellKeys[:0]
 	for i, s := range m.order {
 		m.index[s.Addr()] = i
-		if m.grid != nil {
-			m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
-		}
+		m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
 	}
 }
 
@@ -541,29 +534,12 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 }
 
 // deliverBroadcast fans f out to every in-range station in attach order.
-// With the spatial index armed, only stations bucketed in cells the
-// transmitter can reach are visited; slot ids sort ascending, which IS
-// attach order, so the delivery sequence (and thus every RNG draw) is
-// identical to a full scan.
+// Only stations bucketed in the grid cells the transmitter can reach are
+// visited; their slot ids sort ascending, which IS attach order, so the
+// delivery sequence (and thus every RNG draw) is that of a scan over all
+// attached stations.
 func (m *Medium) deliverBroadcast(tx ieee80211.MAC, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
 	order := m.order
-	if m.grid == nil {
-		for _, rx := range order {
-			if rx == nil || rx.Addr() == tx {
-				continue
-			}
-			if _, live := m.index[rx.Addr()]; !live {
-				continue
-			}
-			if sameChannel(txCh, rx) && m.receives(txPos, rx.Pos(), f.Subtype) {
-				m.FramesDelivered++
-				m.mDelivered[f.Subtype&0xf].Inc()
-				rx.Receive(f)
-			}
-		}
-		return
-	}
-
 	cands := m.grid.AppendNeighborhood(m.scratch[:0], txPos, m.maxRange)
 	slices.Sort(cands)
 	m.scratch = cands

@@ -58,6 +58,19 @@ func probeResp(sa, da ieee80211.MAC, ssid string) *ieee80211.Frame {
 	}
 }
 
+func TestNewMediumRejectsNonPositiveRange(t *testing.T) {
+	for _, r := range []float64{0, -5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMedium(radius %v) did not panic", r)
+				}
+			}()
+			NewMedium(NewEngine(), r)
+		}()
+	}
+}
+
 func TestMediumBroadcastDelivery(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	near := &fakeStation{addr: mac(2), pos: geo.Pt(10, 0)}

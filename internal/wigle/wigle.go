@@ -40,7 +40,7 @@ type Record struct {
 // DB is an in-memory, spatially indexed collection of Records.
 type DB struct {
 	records []Record
-	index   *geo.GridIndex
+	index   *geo.HashGrid
 	bounds  geo.Rect
 }
 
@@ -51,19 +51,12 @@ type SSIDCount struct {
 }
 
 // New builds a DB over the given city bounds. Records may lie anywhere;
-// bounds only size the spatial index.
+// bounds only size the spatial index's cells (1/64 of the longer side).
 func New(bounds geo.Rect, records []Record) (*DB, error) {
-	cell := bounds.Width() / 64
-	if h := bounds.Height() / 64; h > cell {
-		cell = h
-	}
-	if cell <= 0 {
+	if bounds.Width() <= 0 || bounds.Height() <= 0 {
 		return nil, fmt.Errorf("wigle: bounds %v have no area", bounds)
 	}
-	idx, err := geo.NewGridIndex(bounds, cell)
-	if err != nil {
-		return nil, fmt.Errorf("wigle: build index: %w", err)
-	}
+	idx, _ := geo.NewHashGrid(max(bounds.Width(), bounds.Height()) / 64) // positive: bounds have area
 	db := &DB{
 		records: make([]Record, len(records)),
 		index:   idx,
@@ -71,7 +64,7 @@ func New(bounds geo.Rect, records []Record) (*DB, error) {
 	}
 	copy(db.records, records)
 	for i, r := range db.records {
-		idx.Insert(i, r.Pos)
+		idx.Insert(int32(i), r.Pos)
 	}
 	return db, nil
 }
@@ -95,7 +88,7 @@ func (db *DB) At(i int) Record { return db.records[i] }
 // Nearby returns the records within radius metres of p, nearest first.
 // When openOnly is set, encrypted networks are skipped.
 func (db *DB) Nearby(p geo.Point, radius float64, openOnly bool) []Record {
-	ids := db.index.WithinRadius(p, radius)
+	ids := db.index.WithinRadius(p, radius, func(id int32) geo.Point { return db.records[id].Pos })
 	out := make([]Record, 0, len(ids))
 	for _, id := range ids {
 		r := db.records[id]

@@ -2,8 +2,11 @@ package wigle
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cityhunter/internal/geo"
@@ -76,6 +79,49 @@ func TestNearby(t *testing.T) {
 	for _, r := range open {
 		if !r.Open {
 			t.Errorf("openOnly returned secured record %q", r.SSID)
+		}
+	}
+}
+
+// TestNearbyMatchesBruteForce checks the spatial index against its
+// definition: every record within the radius, nearest first, ties in
+// record order — including records the index holds outside the bounds.
+func TestNearbyMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	recs := make([]Record, 300)
+	for i := range recs {
+		// Positions on a 10 m lattice so equal distances actually occur;
+		// a quarter of the records lie outside testBounds.
+		recs[i] = Record{
+			SSID: fmt.Sprintf("net-%d", i),
+			Pos:  geo.Pt(float64(rng.Intn(150)*10-250), float64(rng.Intn(150)*10-250)),
+			Open: rng.Intn(3) > 0,
+		}
+	}
+	db, err := New(testBounds, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 50; trial++ {
+		q := geo.Pt(float64(rng.Intn(160)*10-300), float64(rng.Intn(160)*10-300))
+		radius := float64(rng.Intn(400))
+		openOnly := trial%2 == 1
+		var idx []int
+		for i, r := range recs {
+			if r.Pos.Dist2(q) <= radius*radius && (r.Open || !openOnly) {
+				idx = append(idx, i)
+			}
+		}
+		sort.SliceStable(idx, func(a, b int) bool {
+			return recs[idx[a]].Pos.Dist2(q) < recs[idx[b]].Pos.Dist2(q)
+		})
+		want := make([]Record, 0, len(idx))
+		for _, i := range idx {
+			want = append(want, recs[i])
+		}
+		if got := db.Nearby(q, radius, openOnly); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Nearby(%v, %v, %v) = %d records, brute force %d (or order differs)",
+				trial, q, radius, openOnly, len(got), len(want))
 		}
 	}
 }
