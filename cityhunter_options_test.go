@@ -28,9 +28,9 @@ func TestRunOptionMatrix(t *testing.T) {
 	t.Run("WithWiGLE", func(t *testing.T) {
 		gapped := run()
 		perfect := run(cityhunter.WithWiGLE(w.City.DB))
-		if perfect.Engine.SeededSize() < gapped.Engine.SeededSize() {
+		if perfect.Engine.SeededSize < gapped.Engine.SeededSize {
 			t.Errorf("perfect DB seeded %d < gapped %d",
-				perfect.Engine.SeededSize(), gapped.Engine.SeededSize())
+				perfect.Engine.SeededSize, gapped.Engine.SeededSize)
 		}
 	})
 

@@ -28,7 +28,7 @@ func main() {
 		}
 		fmt.Printf("[%s, %s]\n", res.Venue, res.SlotLabel)
 		fmt.Printf("%-8s %8s %4s %4s\n", "t", "DB size", "PB", "FB")
-		for _, s := range res.Engine.Samples() {
+		for _, s := range res.Engine.Samples {
 			fmt.Printf("%-8s %8d %4d %4d\n", s.At.Truncate(time.Second), s.DBSize, s.PB, s.FB)
 		}
 		breakdown := res.Breakdown()

@@ -32,9 +32,10 @@ func main() {
 	fmt.Printf("h   = %.1f%%  (paper: ~19%% in the canteen)\n", 100*res.Tally.HitRate())
 	fmt.Printf("h_b = %.1f%%  (paper: 12-18%% depending on venue)\n", 100*res.Tally.BroadcastHitRate())
 
-	// The engine exposes the SSID database for inspection.
+	// The engine's summary keeps the heaviest SSIDs of its database.
 	fmt.Println("\ntop lure SSIDs after the run:")
-	for i, e := range res.Engine.TopEntries(5) {
+	top := res.Engine.Top
+	for i, e := range top[:min(5, len(top))] {
 		fmt.Printf("%d. %-28s weight=%-6.0f hits=%-3d source=%v\n",
 			i+1, e.SSID, e.Weight, e.Hits, e.Source)
 	}

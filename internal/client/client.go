@@ -90,12 +90,6 @@ type Config struct {
 	// responder that mimics it is marked hostile and ignored from then
 	// on. This is the classic KARMA detector; see internal/detect.
 	CanaryProbing bool
-	// RandomizeMAC is the legacy shorthand for Randomization ==
-	// RandomizePerScan; it defeats the attacker's per-client untried
-	// rotation: every scan looks like a brand-new client, so the attacker
-	// resends its head batch instead of progressing through the database.
-	// Ignored when Randomization is set explicitly.
-	RandomizeMAC bool
 	// Randomization selects when the over-the-air MAC rotates; see
 	// RandomizationPolicy. Rotated MACs are derived from the identity MAC
 	// by counter (ieee80211.DerivedRandomMAC), so rotation consumes no RNG
@@ -212,9 +206,6 @@ func New(engine *sim.Engine, medium *sim.Medium, rng *rand.Rand, cfg Config) (*C
 	}
 	if cfg.MAC == (ieee80211.MAC{}) {
 		return nil, fmt.Errorf("client: zero MAC")
-	}
-	if cfg.Randomization == RandomizeNone && cfg.RandomizeMAC {
-		cfg.Randomization = RandomizePerScan
 	}
 	if cfg.Randomization == RandomizeTimed && cfg.RandomizeEvery <= 0 {
 		cfg.RandomizeEvery = DefaultRandomizeEvery

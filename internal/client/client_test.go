@@ -466,9 +466,9 @@ func TestWindowNoResponsesNoAssociation(t *testing.T) {
 func TestRandomizeMACRotatesPerScan(t *testing.T) {
 	fx := newFixture(t)
 	c := fx.newClient(t, Config{
-		PNL:          pnl.List{{SSID: "none"}},
-		ScanInterval: 2 * time.Second,
-		RandomizeMAC: true,
+		PNL:           pnl.List{{SSID: "none"}},
+		ScanInterval:  2 * time.Second,
+		Randomization: RandomizePerScan,
 	})
 	seen := make(map[ieee80211.MAC]bool)
 	initial := c.Addr()
@@ -499,9 +499,9 @@ func TestRandomizeMACDefeatsRotationTracking(t *testing.T) {
 	seen := make(map[ieee80211.MAC]bool)
 	fx.resp.onProbe = func(sa ieee80211.MAC) { seen[sa] = true }
 	c := fx.newClient(t, Config{
-		PNL:          pnl.List{{SSID: "none"}},
-		ScanInterval: 2 * time.Second,
-		RandomizeMAC: true,
+		PNL:           pnl.List{{SSID: "none"}},
+		ScanInterval:  2 * time.Second,
+		Randomization: RandomizePerScan,
 	})
 	fx.engine.Run(20 * time.Second)
 	_ = c
@@ -751,7 +751,7 @@ func TestPreconnectedWithRandomizedMAC(t *testing.T) {
 	c := fx.newClient(t, Config{
 		PNL:               pnl.List{{SSID: "Net", Open: true}},
 		PreconnectedBSSID: legit,
-		RandomizeMAC:      true,
+		Randomization:     RandomizePerScan,
 		ScanInterval:      2 * time.Second,
 	})
 	initial := c.Addr()
@@ -768,6 +768,6 @@ func TestPreconnectedWithRandomizedMAC(t *testing.T) {
 		t.Skip("capture did not complete in this window")
 	}
 	if c.Addr() == initial {
-		t.Error("MAC never rotated after deauth despite RandomizeMAC")
+		t.Error("MAC never rotated after deauth despite per-scan randomization")
 	}
 }

@@ -126,8 +126,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSeeding(t *testing.T) {
 	e := newFull(t, nil)
-	if e.SeededSize() == 0 || e.DBSize() != e.SeededSize() {
-		t.Fatalf("seeded/db = %d/%d", e.SeededSize(), e.DBSize())
+	if s := e.Summary(); s.SeededSize == 0 || s.DBSize != s.SeededSize {
+		t.Fatalf("seeded/db = %d/%d", s.SeededSize, s.DBSize)
 	}
 	top := e.TopEntries(3)
 	if top[0].SSID != "HotVenue WiFi" {
@@ -483,7 +483,7 @@ func TestSamples(t *testing.T) {
 	e.SampleState(0)
 	e.HarvestDirect(0, lnk(mac(1)), "New1")
 	e.SampleState(time.Minute)
-	s := e.Samples()
+	s := e.Summary().Samples
 	if len(s) != 2 {
 		t.Fatalf("samples = %d", len(s))
 	}

@@ -226,9 +226,6 @@ func (e *Engine) Name() string {
 // DBSize returns the current SSID database size.
 func (e *Engine) DBSize() int { return e.db.len() }
 
-// SeededSize returns the database size right after offline initialisation.
-func (e *Engine) SeededSize() int { return e.seededSize }
-
 // BufferSizes returns the current regular Popularity and Freshness buffer
 // sizes. In preliminary mode the whole budget is popularity.
 func (e *Engine) BufferSizes() (pb, fb int) {
@@ -300,13 +297,6 @@ func (e *Engine) SampleState(now time.Duration) {
 	e.samples = append(e.samples, StateSample{At: now, DBSize: e.db.len(), PB: pb, FB: fb})
 }
 
-// Samples returns the recorded snapshots.
-func (e *Engine) Samples() []StateSample {
-	out := make([]StateSample, len(e.samples))
-	copy(out, e.samples)
-	return out
-}
-
 // EntryInfo is an exported view of one database entry.
 type EntryInfo struct {
 	SSID   string
@@ -327,6 +317,35 @@ func (e *Engine) TopEntries(n int) []EntryInfo {
 		out[i] = EntryInfo{SSID: en.ssid, Source: en.source, Weight: en.weight, Hits: en.hits}
 	}
 	return out
+}
+
+// summaryTop is how many highest-weight entries a Summary keeps.
+const summaryTop = 10
+
+// Summary is what a finished run leaves of an engine: plain values, so a
+// kept result does not pin the seeded database.
+type Summary struct {
+	// SeededSize is the database size right after offline initialisation;
+	// DBSize is its final size.
+	SeededSize, DBSize int
+	// Hits are the capture records in order.
+	Hits []HitRecord
+	// Samples are the SampleState snapshots in order.
+	Samples []StateSample
+	// Top are the highest-weight entries at the end of the run.
+	Top []EntryInfo
+}
+
+// Summary captures the engine's end-of-run state. Call it once the run is
+// over: the hit and sample slices are shared, not copied.
+func (e *Engine) Summary() *Summary {
+	return &Summary{
+		SeededSize: e.seededSize,
+		DBSize:     e.db.len(),
+		Hits:       e.hits,
+		Samples:    e.samples,
+		Top:        e.TopEntries(summaryTop),
+	}
 }
 
 // trackOf resolves an observation to its device track via the linker,

@@ -89,7 +89,7 @@ func TestPropertyRandomOps(t *testing.T) {
 				if fb < cfg.MinBuffer || pb < cfg.MinBuffer {
 					t.Fatalf("step %d: buffer below floor: pb=%d fb=%d", step, pb, fb)
 				}
-				if e.DBSize() < e.SeededSize() {
+				if e.DBSize() < e.Summary().SeededSize {
 					t.Fatalf("step %d: database shrank", step)
 				}
 			}

@@ -82,7 +82,7 @@ func carrierHits(r *cityhunter.Result) int {
 		return 0
 	}
 	n := 0
-	for _, h := range r.Engine.Hits() {
+	for _, h := range r.Engine.Hits {
 		if h.Source == core.SourceCarrier {
 			n++
 		}

@@ -54,7 +54,7 @@ func Figure1(ctx context.Context, w *cityhunter.World, o Options) (*Figure1Resul
 	}
 	windows := stats.RealTimeBroadcastHitRate(r.Outcomes, 2*time.Minute, dur)
 	res := &Figure1Result{Duration: dur}
-	for _, s := range r.Mana.SizeSamples() {
+	for _, s := range r.Mana {
 		connected := 0
 		for _, v := range r.Victims {
 			if v.At <= s.At && !v.DirectProber {

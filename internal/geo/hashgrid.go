@@ -1,8 +1,10 @@
 package geo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CellKey identifies one cell of a HashGrid.
@@ -155,7 +157,12 @@ func (g *HashGrid) WithinRadius(p Point, radius float64, pos func(int32) Point) 
 			}
 		}
 	}
-	sortByDist(found)
+	slices.SortFunc(found, func(a, b distItem) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	ids := make([]int32, len(found))
 	for i, f := range found {
 		ids[i] = f.id
@@ -166,20 +173,4 @@ func (g *HashGrid) WithinRadius(p Point, radius float64, pos func(int32) Point) 
 type distItem struct {
 	id int32
 	d2 float64
-}
-
-// sortByDist is an insertion sort on (d2, id); it allocates nothing.
-func sortByDist(items []distItem) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && less(items[j], items[j-1]); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-}
-
-func less(a, b distItem) bool {
-	if a.d2 != b.d2 {
-		return a.d2 < b.d2
-	}
-	return a.id < b.id
 }

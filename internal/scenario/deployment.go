@@ -332,12 +332,13 @@ func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, 
 		simulated = d.now()
 	}
 	engines := uniqueEngines(d.sites)
+	summaries := summarize(engines)
 	dres := &DeploymentResult{Knowledge: dcfg.Knowledge, Duration: simulated}
 	for _, r := range d.siteRoams {
 		dres.Roams += r
 	}
 	for i, st := range d.sites {
-		res := assembleResult(d.envs[i], st, d.pops[i], slot, simulated, engines)
+		res := assembleResult(d.envs[i], st, d.pops[i], slot, simulated, engines, summaries)
 		dres.Sites = append(dres.Sites, res)
 		dres.Outcomes = append(dres.Outcomes, res.Outcomes...)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cityhunter/internal/core"
 	"cityhunter/internal/geo"
 	"cityhunter/internal/mobility"
 	"cityhunter/internal/stats"
@@ -260,5 +261,32 @@ func TestSharedKnowledgeBeatsIsolated(t *testing.T) {
 	if shared.BroadcastHitRate() <= isolated.BroadcastHitRate() {
 		t.Fatalf("shared pooled h_b %.4f not above isolated %.4f",
 			shared.BroadcastHitRate(), isolated.BroadcastHitRate())
+	}
+}
+
+// TestDeploymentSummariesFollowKnowledgePlane: sites that shared one
+// engine share one summary pointer, and isolated sites each get their own.
+func TestDeploymentSummariesFollowKnowledgePlane(t *testing.T) {
+	for _, plane := range []KnowledgePlane{Shared, Isolated} {
+		cfg := deployConfig(t, CityHunter, 7)
+		cfg.Knowledge = plane
+		res, err := RunDeployment(cfg, 0, time.Minute)
+		if err != nil {
+			t.Fatalf("%v: %v", plane, err)
+		}
+		seen := map[*core.Summary]bool{}
+		for i, s := range res.Sites {
+			if s.Engine == nil {
+				t.Fatalf("%v: site %d has no engine summary", plane, i)
+			}
+			seen[s.Engine] = true
+		}
+		want := len(res.Sites)
+		if plane == Shared {
+			want = 1
+		}
+		if len(seen) != want {
+			t.Errorf("%v: %d distinct summaries over %d sites, want %d", plane, len(seen), len(res.Sites), want)
+		}
 	}
 }

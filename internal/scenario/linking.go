@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand"
 
 	"cityhunter/internal/client"
 	"cityhunter/internal/core"
@@ -112,17 +113,20 @@ func fingerprintFor(m ieee80211.MAC, models int) uint32 {
 	return 1 + h%uint32(models)
 }
 
-// applyRandomization upgrades a client config whose legacy RandomizeMAC
-// flag was just drawn: when the scenario names an explicit policy, the
-// flag is traded for the policy plus the phone's derived IE fingerprint.
-// With no explicit policy the flag stands as-is (per-scan rotation without
-// fingerprints — the historical behaviour, byte-identical). Called after
-// the config literal so the RNG draw order of the literal is untouched.
-func (cfg Config) applyRandomization(ccfg *client.Config) {
-	if !ccfg.RandomizeMAC || cfg.Randomization == client.RandomizeNone {
+// applyRandomization draws whether a phone rotates its MAC (one draw from
+// rng, only when RandomizeMACFraction is positive) and, if it does, sets
+// its policy: the scenario's explicit policy plus the phone's derived IE
+// fingerprint, or per-scan rotation without a fingerprint when the
+// scenario names none (the historical behaviour). Called right after the
+// config literal, so the draw keeps its place in the RNG stream.
+func (cfg Config) applyRandomization(ccfg *client.Config, rng *rand.Rand) {
+	if !(cfg.RandomizeMACFraction > 0 && rng.Float64() < cfg.RandomizeMACFraction) {
 		return
 	}
-	ccfg.RandomizeMAC = false
+	if cfg.Randomization == client.RandomizeNone {
+		ccfg.Randomization = client.RandomizePerScan
+		return
+	}
 	ccfg.Randomization = cfg.Randomization
 	ccfg.RandomizeEvery = cfg.RandomizeEvery
 	ccfg.Fingerprint = fingerprintFor(ccfg.MAC, cfg.FingerprintModels)

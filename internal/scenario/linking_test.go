@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -88,22 +89,21 @@ func TestFingerprintForStableAndBounded(t *testing.T) {
 
 func TestApplyRandomizationUpgradesLegacyFlag(t *testing.T) {
 	mac := ieee80211.MAC{0x02, 0, 0, 0, 0, 1}
+	rng := rand.New(rand.NewSource(1))
 
-	// No scenario policy: the drawn flag stands (historical per-scan
-	// rotation without fingerprints, byte-identical to the seed).
-	ccfg := client.Config{MAC: mac, RandomizeMAC: true}
-	(Config{}).applyRandomization(&ccfg)
-	if !ccfg.RandomizeMAC || ccfg.Randomization != client.RandomizeNone {
-		t.Errorf("legacy flag rewritten without a policy: %+v", ccfg)
+	// No scenario policy: a drawn phone rotates per scan without a
+	// fingerprint (the historical behaviour, byte-identical to the seed).
+	ccfg := client.Config{MAC: mac}
+	(Config{RandomizeMACFraction: 1}).applyRandomization(&ccfg, rng)
+	if ccfg.Randomization != client.RandomizePerScan || ccfg.Fingerprint != 0 {
+		t.Errorf("drawn phone without a policy: %+v", ccfg)
 	}
 
-	// Policy set: flag traded for the policy plus the derived fingerprint.
-	ccfg = client.Config{MAC: mac, RandomizeMAC: true}
-	cfg := Config{Randomization: client.RandomizePerBurst, RandomizeEvery: time.Minute}
-	cfg.applyRandomization(&ccfg)
-	if ccfg.RandomizeMAC {
-		t.Error("legacy flag survived the policy upgrade")
-	}
+	// Policy set: the drawn phone gets the policy plus the derived
+	// fingerprint.
+	ccfg = client.Config{MAC: mac}
+	cfg := Config{RandomizeMACFraction: 1, Randomization: client.RandomizePerBurst, RandomizeEvery: time.Minute}
+	cfg.applyRandomization(&ccfg, rng)
 	if ccfg.Randomization != client.RandomizePerBurst || ccfg.RandomizeEvery != time.Minute {
 		t.Errorf("policy not applied: %+v", ccfg)
 	}
@@ -111,12 +111,17 @@ func TestApplyRandomizationUpgradesLegacyFlag(t *testing.T) {
 		t.Error("fingerprint not derived")
 	}
 
-	// A phone whose flag was never drawn stays un-randomized regardless of
-	// the scenario policy.
+	// A phone that was never drawn stays un-randomized regardless of the
+	// scenario policy, and consumes no randomness.
 	ccfg = client.Config{MAC: mac}
-	cfg.applyRandomization(&ccfg)
+	cfg.RandomizeMACFraction = 0
+	rng = rand.New(rand.NewSource(2))
+	cfg.applyRandomization(&ccfg, rng)
 	if ccfg.Randomization != client.RandomizeNone || ccfg.Fingerprint != 0 {
 		t.Errorf("non-randomizing phone upgraded: %+v", ccfg)
+	}
+	if rng.Int63() != rand.New(rand.NewSource(2)).Int63() {
+		t.Error("zero fraction consumed a draw")
 	}
 }
 

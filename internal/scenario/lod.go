@@ -377,10 +377,9 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 			DirectProber:  p.direct,
 			ScanInterval:  time.Duration(float64(cfg.ScanInterval) * (0.7 + 0.6*p.rng.Float64())),
 			CanaryProbing: cfg.CanaryFraction > 0 && p.rng.Float64() < cfg.CanaryFraction,
-			RandomizeMAC:  cfg.RandomizeMACFraction > 0 && p.rng.Float64() < cfg.RandomizeMACFraction,
 			Obs:           env.rt,
 		}
-		cfg.applyRandomization(&ccfg)
+		cfg.applyRandomization(&ccfg, p.rng)
 		c, err = client.New(env.engine, env.medium, p.rng, ccfg)
 		if err == nil {
 			c.SetPos(pos)

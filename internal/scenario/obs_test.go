@@ -70,22 +70,23 @@ func TestObservabilityOffByDefault(t *testing.T) {
 }
 
 // TestTraceDroppedSurfaced arms the pcap monitor with a tiny cap so the
-// run overflows it, and checks the drop count lands in the Result and the
-// first drop is journalled.
+// run overflows it, and checks the drop count lands in the run's counter
+// and the first drop is journalled.
 func TestTraceDroppedSurfaced(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), CityHunter, 5)
 	cfg.Trace = true
 	cfg.TraceMaxEntries = 10
 	cfg.FlightRecorderCap = 64
+	cfg.Metrics = true
 	res, err := Run(cfg, 4, 3*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.TraceDropped == 0 {
+	if res.Trace.Dropped == 0 {
 		t.Fatal("expected the 10-entry capture to overflow")
 	}
-	if res.Trace.Dropped != res.TraceDropped {
-		t.Errorf("Result.TraceDropped = %d, monitor counted %d", res.TraceDropped, res.Trace.Dropped)
+	if got := res.Metrics.Value("scenario_trace_dropped_frames"); int(got) != res.Trace.Dropped {
+		t.Errorf("scenario_trace_dropped_frames = %v, monitor counted %d", got, res.Trace.Dropped)
 	}
 	found := false
 	for _, e := range res.Journal.Events() {
@@ -115,10 +116,10 @@ func TestDeploymentCoreGaugesPerSite(t *testing.T) {
 		if !ok {
 			t.Fatalf("no core_db_size series for site %q", s.Venue)
 		}
-		if want := s.Engine.DBSize(); int(p.Value) != want {
+		if want := s.Engine.DBSize; int(p.Value) != want {
 			t.Errorf("core_db_size{site=%q} = %v, engine holds %d", s.Venue, p.Value, want)
 		}
-		sizes[s.Engine.DBSize()] = true
+		sizes[s.Engine.DBSize] = true
 	}
 	if len(sizes) < 2 {
 		t.Fatal("sites ended with equal database sizes; the test cannot tell them apart")

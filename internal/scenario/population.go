@@ -168,10 +168,9 @@ func (p *population) spawnMember(list pnl.List, moving bool, path mobility.Path,
 		DirectProber:  direct,
 		ScanInterval:  time.Duration(float64(p.cfg.ScanInterval) * (0.7 + 0.6*p.rng.Float64())),
 		CanaryProbing: p.cfg.CanaryFraction > 0 && p.rng.Float64() < p.cfg.CanaryFraction,
-		RandomizeMAC:  p.cfg.RandomizeMACFraction > 0 && p.rng.Float64() < p.cfg.RandomizeMACFraction,
 		Obs:           p.obs,
 	}
-	p.cfg.applyRandomization(&cfg)
+	p.cfg.applyRandomization(&cfg, p.rng)
 	if p.cfg.PreconnectedFraction > 0 && p.rng.Float64() < p.cfg.PreconnectedFraction {
 		cfg.PreconnectedBSSID = p.legitMAC
 	}

@@ -183,21 +183,17 @@ type Result struct {
 	Report attack.Report
 	// Victims lists captures in order.
 	Victims []attack.Victim
-	// Engine exposes the City-Hunter internals for breakdowns; nil for
-	// KARMA/MANA runs.
-	Engine *core.Engine
-	// Mana exposes the MANA database for Fig. 1; nil otherwise.
-	Mana *attack.Mana
-	// HitsByVictimDirect maps victims' MACs to their direct-prober flag,
-	// for Fig. 6 filtering.
-	HitsByVictimDirect map[ieee80211.MAC]bool
+	// Engine is the City-Hunter engine's end-of-run summary (hits, buffer
+	// samples, top entries, database sizes) for breakdowns; nil for
+	// KARMA/MANA runs. Sites that shared one engine share one summary.
+	Engine *core.Summary
+	// Mana is the MANA database's size series for Fig. 1; nil otherwise.
+	Mana []attack.SizeSample
 	// Sentinel is the passive detector, when Config.Sentinel was set.
 	Sentinel *detect.Sentinel
-	// Trace is the frame capture, when Config.Trace was set.
+	// Trace is the frame capture, when Config.Trace was set. A nonzero
+	// Trace.Dropped means the capture is truncated, not complete.
 	Trace *trace.Monitor
-	// TraceDropped is the number of frames the capture dropped past its
-	// cap — nonzero means Trace is truncated, not complete.
-	TraceDropped int
 	// CanaryDetections sums the clients' canary unmaskings.
 	CanaryDetections int
 	// Metrics is the deterministic metrics snapshot, when Config.Metrics
@@ -221,8 +217,12 @@ func (r *Result) Breakdown() stats.Breakdown {
 	if r.Engine == nil {
 		return stats.Breakdown{}
 	}
-	return stats.NewBreakdown(r.Engine.Hits(), func(h core.HitRecord) bool {
-		return r.HitsByVictimDirect[h.MAC]
+	direct := make(map[ieee80211.MAC]bool, len(r.Victims))
+	for _, v := range r.Victims {
+		direct[v.MAC] = v.DirectProber
+	}
+	return stats.NewBreakdown(r.Engine.Hits, func(h core.HitRecord) bool {
+		return direct[h.MAC]
 	})
 }
 
@@ -317,7 +317,8 @@ func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duratio
 		// event, which is how much virtual time the partial result covers.
 		simulated = env.engine.Now()
 	}
-	res := assembleResult(env, st, pop, slot, simulated, uniqueEngines(sites))
+	engines := uniqueEngines(sites)
+	res := assembleResult(env, st, pop, slot, simulated, engines, summarize(engines))
 	if env.rt != nil {
 		emitRunTelemetry(env.rt, env, pop, res)
 		attachObservability(env.rt, res)

@@ -3,11 +3,14 @@ package scenario
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"cityhunter/internal/attack"
 	"cityhunter/internal/citygen"
+	"cityhunter/internal/core"
 	"cityhunter/internal/heatmap"
 )
 
@@ -198,7 +201,7 @@ func TestRunSampling(t *testing.T) {
 	if res.Engine == nil {
 		t.Fatal("no engine on City-Hunter run")
 	}
-	samples := res.Engine.Samples()
+	samples := res.Engine.Samples
 	if len(samples) < 5 {
 		t.Errorf("samples = %d, want ≥5 over 5 minutes", len(samples))
 	}
@@ -217,14 +220,11 @@ func TestManaRunExposesDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mana == nil {
-		t.Fatal("no MANA handle")
+	if len(res.Mana) == 0 {
+		t.Error("no size samples collected")
 	}
 	if res.Engine != nil {
 		t.Error("engine set on MANA run")
-	}
-	if len(res.Mana.SizeSamples()) == 0 {
-		t.Error("no size samples collected")
 	}
 }
 
@@ -470,4 +470,38 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		t.Errorf("Run tally %+v (%v) != RunContext tally %+v (%v)",
 			a.Tally, a.Duration, b.Tally, b.Duration)
 	}
+}
+
+// TestResultHoldsNoLiveEngines walks Result's type graph: a kept Result
+// must not pin a City-Hunter engine or a MANA database, only their values.
+func TestResultHoldsNoLiveEngines(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(core.Engine{}): true,
+		reflect.TypeOf(attack.Mana{}): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		if banned[typ] {
+			t.Errorf("%s reaches %v", path, typ)
+			return
+		}
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(typ.Elem(), path)
+		case reflect.Map:
+			walk(typ.Key(), path)
+			walk(typ.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Result{}), "Result")
 }

@@ -252,6 +252,16 @@ func uniqueEngines(sites []*site) []*core.Engine {
 	return out
 }
 
+// summarize takes each distinct engine's end-of-run summary once, so sites
+// that shared an engine share one summary.
+func summarize(engines []*core.Engine) map[*core.Engine]*core.Summary {
+	out := make(map[*core.Engine]*core.Summary, len(engines))
+	for _, eng := range engines {
+		out[eng] = eng.Summary()
+	}
+	return out
+}
+
 // attackerSet collects the sites' rogue-AP MACs, the membership test for
 // "this phone associated to an attacker".
 func attackerSet(sites []*site) map[ieee80211.MAC]bool {
@@ -313,8 +323,8 @@ func scaledProfile(profile mobility.Profile, scale float64) mobility.Profile {
 // attacker accounting and its population's outcomes into a Result.
 // engines lists every distinct City-Hunter engine that may have replied to
 // the population's phones (more than one when clients roam between
-// isolated sites).
-func assembleResult(env *runEnv, st *site, pop *population, slot int, simulated time.Duration, engines []*core.Engine) *Result {
+// isolated sites); summaries maps each to its end-of-run summary.
+func assembleResult(env *runEnv, st *site, pop *population, slot int, simulated time.Duration, engines []*core.Engine, summaries map[*core.Engine]*core.Summary) *Result {
 	canaryDetections := 0
 	for _, m := range pop.members {
 		canaryDetections += m.c.Stats.CanaryDetections
@@ -326,29 +336,24 @@ func assembleResult(env *runEnv, st *site, pop *population, slot int, simulated 
 		attackName = env.cfg.Attack.String()
 	}
 	res := &Result{
-		Venue:              st.venue.Name,
-		Slot:               slot,
-		SlotLabel:          st.venue.Profile.SlotLabel(slot),
-		Duration:           simulated,
-		Attack:             attackName,
-		Outcomes:           pop.outcomes(env.engine.Now(), engines),
-		Report:             st.atk.Report(),
-		Victims:            st.atk.Victims(),
-		Engine:             st.set.chEngine,
-		Mana:               st.set.mana,
-		HitsByVictimDirect: make(map[ieee80211.MAC]bool),
-		Sentinel:           st.sentinel,
-		Trace:              st.monitor,
-		CanaryDetections:   canaryDetections,
+		Venue:            st.venue.Name,
+		Slot:             slot,
+		SlotLabel:        st.venue.Profile.SlotLabel(slot),
+		Duration:         simulated,
+		Attack:           attackName,
+		Outcomes:         pop.outcomes(env.engine.Now(), engines),
+		Report:           st.atk.Report(),
+		Victims:          st.atk.Victims(),
+		Engine:           summaries[st.set.chEngine],
+		Sentinel:         st.sentinel,
+		Trace:            st.monitor,
+		CanaryDetections: canaryDetections,
+	}
+	if st.set.mana != nil {
+		res.Mana = st.set.mana.SizeSamples()
 	}
 	res.Tally = stats.NewTally(res.Outcomes)
 	res.Links = linkReport(st.set.chEngine, memberDevices(pop.members))
-	for _, v := range res.Victims {
-		res.HitsByVictimDirect[v.MAC] = v.DirectProber
-	}
-	if st.monitor != nil {
-		res.TraceDropped = st.monitor.Dropped
-	}
 	return res
 }
 
@@ -372,7 +377,11 @@ func emitRunTelemetry(rt *obs.Runtime, env *runEnv, pop *population, res *Result
 		rt.Metrics.Counter("scenario_clients").Add(int64(len(pop.members)))
 		rt.Metrics.Counter("scenario_victims").Add(int64(len(res.Victims)))
 		rt.Metrics.Counter("scenario_canary_detections").Add(int64(res.CanaryDetections))
-		rt.Metrics.Counter("scenario_trace_dropped_frames").Add(int64(res.TraceDropped))
+		dropped := 0
+		if res.Trace != nil {
+			dropped = res.Trace.Dropped
+		}
+		rt.Metrics.Counter("scenario_trace_dropped_frames").Add(int64(dropped))
 		rt.Metrics.Gauge("scenario_virtual_seconds").Set(now.Seconds())
 	}
 }

@@ -1,17 +1,13 @@
 // Package trace records 802.11 frames crossing the simulated medium into a
-// replayable, JSON-exportable log — the equivalent of the packet captures
-// the paper's field deployment kept for analysis.
+// log — the equivalent of the packet captures the paper's field deployment
+// kept for analysis.
 //
-// A Recorder wraps any station's Receive path (or is attached standalone as
-// a monitor station) and stores compact per-frame records with virtual
-// timestamps. Filters select subsets; Summary aggregates per-subtype
-// counts.
+// A Monitor is attached to the medium as a promiscuous station and stores
+// compact per-frame records with virtual timestamps; Analyze digests them
+// and WritePcap exports frames for Wireshark.
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -100,51 +96,4 @@ func (m *Monitor) Entries() []Entry {
 	out := make([]Entry, len(m.entries))
 	copy(out, m.entries)
 	return out
-}
-
-// Filter returns the entries matching pred, preserving order.
-func (m *Monitor) Filter(pred func(Entry) bool) []Entry {
-	var out []Entry
-	for _, e := range m.entries {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Summary counts captured frames per subtype.
-func (m *Monitor) Summary() map[string]int {
-	out := make(map[string]int)
-	for _, e := range m.entries {
-		out[e.Subtype]++
-	}
-	return out
-}
-
-// WriteJSON streams the capture as JSON lines (one entry per line), the
-// standard interchange form for offline analysis.
-func (m *Monitor) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for i := range m.entries {
-		if err := enc.Encode(&m.entries[i]); err != nil {
-			return fmt.Errorf("trace: encode entry %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadJSON loads a capture previously written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Entry, error) {
-	dec := json.NewDecoder(r)
-	var out []Entry
-	for {
-		var e Entry
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode entry %d: %w", len(out), err)
-		}
-		out = append(out, e)
-	}
 }
