@@ -58,7 +58,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println("top-5 SSIDs by heat value:")
-		ranked := hm.RankByHeat(city.DB.OpenPositionsBySSID())
+		ranked := city.DB.HeatRanking(hm)
 		for i := 0; i < 5 && i < len(ranked); i++ {
 			fmt.Printf("  %d. %-28s heat=%d\n", i+1, ranked[i].SSID, ranked[i].Heat)
 		}

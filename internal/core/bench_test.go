@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cityhunter/internal/citygen"
+	"cityhunter/internal/heatmap"
 	"cityhunter/internal/ieee80211"
 	"cityhunter/internal/obs"
 )
@@ -86,5 +88,33 @@ func BenchmarkRecordHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RecordHit(time.Duration(i), lnk(victim), fmt.Sprintf("Net-%05d", i%512))
+	}
+}
+
+// BenchmarkNewEngine times seeding one full-mode attacker at a venue of
+// the default seed-1 city: top-200 heat ranking, 100 nearest SSIDs and
+// the carrier SSIDs. The world's heat ranking and open-AP index are
+// built before the timer starts, as they are for every engine but the
+// first on a world.
+func BenchmarkNewEngine(b *testing.B) {
+	city, err := citygen.Generate(citygen.DefaultConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hm, err := heatmap.FromPhotos(city.Bounds, 200, city.Photos)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := &SeedData{DB: city.DB, HeatMap: hm, Position: city.Hotspots[0].Center}
+	cfg := DefaultConfig(ModeFull)
+	if _, err := NewEngine(cfg, seed); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(cfg, seed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -184,10 +184,14 @@ func NewEngine(cfg Config, seed *SeedData) (*Engine, error) {
 	if lk == nil {
 		lk = linker.NewMACLinker()
 	}
+	size := len(cfg.CarrierSSIDs)
+	if seed != nil {
+		size += cfg.TopCityWide + cfg.NearbyCount*len(seed.positions())
+	}
 	e := &Engine{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		db:      newDatabase(),
+		db:      newDatabase(size),
 		linker:  lk,
 		clients: make(map[linker.TrackID]*clientTrack),
 		fbSize:  cfg.InitialFreshness,
@@ -198,7 +202,7 @@ func NewEngine(cfg Config, seed *SeedData) (*Engine, error) {
 	}
 
 	if seed != nil {
-		ranked := seed.HeatMap.RankByHeat(seed.DB.OpenPositionsBySSID())
+		ranked := seed.DB.HeatRanking(seed.HeatMap)
 		n := min(cfg.TopCityWide, len(ranked))
 		weights := heatmap.RankWeights(n)
 		for i := 0; i < n; i++ {

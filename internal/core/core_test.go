@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,7 +43,7 @@ func (e *Engine) entryByID(id int) *entry {
 
 // seedData builds a small city: one very hot venue SSID, a few chains, and
 // cafés near the attack position at (0,0).
-func seedData(t *testing.T) *SeedData {
+func seedData(t testing.TB) *SeedData {
 	t.Helper()
 	bounds := geo.NewRect(geo.Pt(-1000, -1000), geo.Pt(1000, 1000))
 	var recs []wigle.Record
@@ -83,6 +85,49 @@ func seedData(t *testing.T) *SeedData {
 		hm.AddPhoto(geo.Pt(-600, -500)) // some chain foot traffic
 	}
 	return &SeedData{DB: db, HeatMap: hm, Position: geo.Pt(0, 0)}
+}
+
+// TestNewEngineConcurrentSeeding seeds engines at three positions from
+// many goroutines on one fresh world, so the first nearby selection and
+// the first heat ranking race to build the world's caches (CI runs it
+// under -race). Every database must equal the one seeded alone at the
+// same position on an identical world.
+func TestNewEngineConcurrentSeeding(t *testing.T) {
+	cfg := DefaultConfig(ModeFull)
+	positions := []geo.Point{geo.Pt(0, 0), geo.Pt(-600, -500), geo.Pt(800, 800)}
+	want := make([][]EntryInfo, len(positions))
+	for i, p := range positions {
+		sd := seedData(t)
+		sd.Position = p
+		e, err := NewEngine(cfg, sd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = e.TopEntries(e.DBSize())
+	}
+	world := seedData(t)
+	got := make([][]EntryInfo, 12)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sd := *world
+			sd.Position = positions[g%len(positions)]
+			e, err := NewEngine(cfg, &sd)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = e.TopEntries(e.DBSize())
+		}()
+	}
+	wg.Wait()
+	for g, entries := range got {
+		if !reflect.DeepEqual(entries, want[g%len(positions)]) {
+			t.Errorf("goroutine %d at %v: seeded database differs from a lone seeding", g, positions[g%len(positions)])
+		}
+	}
 }
 
 func newFull(t *testing.T, mutate func(*Config)) *Engine {

@@ -86,8 +86,9 @@ type database struct {
 	ssidsDirty bool
 }
 
-func newDatabase() *database {
-	return &database{entries: make(map[string]*entry)}
+// newDatabase returns an empty database with room for size entries.
+func newDatabase(size int) *database {
+	return &database{entries: make(map[string]*entry, size)}
 }
 
 func (db *database) len() int { return len(db.entries) }

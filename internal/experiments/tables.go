@@ -143,7 +143,7 @@ func Table4(_ context.Context, w *cityhunter.World, _ Options) (*Table4Result, e
 	for _, sc := range w.WiGLE.TopByAPCount(5) {
 		res.ByCount = append(res.ByCount, sc.SSID)
 	}
-	ranked := w.Heat.RankByHeat(w.WiGLE.OpenPositionsBySSID())
+	ranked := w.WiGLE.HeatRanking(w.Heat)
 	for i := 0; i < 5 && i < len(ranked); i++ {
 		res.ByHeat = append(res.ByHeat, ranked[i].SSID)
 	}

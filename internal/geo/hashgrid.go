@@ -14,12 +14,14 @@ type CellKey struct{ X, Y int32 }
 // spatial index: it needs no bounds and supports removal and movement,
 // which serves the radio medium's live stations (insert on attach, move,
 // remove on detach, neighborhood query per broadcast) and the WiGLE
-// database's access points (insert once, exact radius queries).
+// database's access points (insert once, exact radius queries and
+// nearest-first ring walks).
 //
 // Items are referenced by caller-supplied int32 ids; the grid stores no
-// payloads. Queries enumerate cells in deterministic row-major order,
-// clamped to the key range of the cells ever inserted into, so a radius
-// far beyond the occupied region costs no empty-cell visits.
+// payloads. Queries enumerate cells in a deterministic order — row-major,
+// or ring by ring for WalkRings — clamped to the key range of the cells
+// ever inserted into, so a radius far beyond the occupied region costs no
+// empty-cell visits.
 type HashGrid struct {
 	cellSize float64
 	cells    map[CellKey][]int32
@@ -173,4 +175,67 @@ func (g *HashGrid) WithinRadius(p Point, radius float64, pos func(int32) Point) 
 type distItem struct {
 	id int32
 	d2 float64
+}
+
+// WalkRings visits the items around p ring by ring, nearest ring first.
+// Ring k is the cells at Chebyshev distance k from p's cell, clamped to the
+// occupied key range; rings that miss the range are skipped, so a point far
+// outside it costs no empty-ring visits. For each ring, visit receives the
+// ring's ids (valid only during the call) and next, a lower bound on the
+// distance from p of every item in a later ring: +Inf after the last ring.
+// The walk ends when visit returns false or the rings have covered the
+// occupied range.
+func (g *HashGrid) WalkRings(p Point, visit func(ids []int32, next float64) bool) {
+	if g.lo.X > g.hi.X {
+		return
+	}
+	qx, qy := floorDiv(p.X, g.cellSize), floorDiv(p.Y, g.cellSize)
+	lox, loy, hix, hiy := int(g.lo.X), int(g.lo.Y), int(g.hi.X), int(g.hi.Y)
+	first := max(0, lox-qx, qx-hix, loy-qy, qy-hiy)
+	last := max(qx-lox, hix-qx, qy-loy, hiy-qy)
+	var ids []int32
+	row := func(cy, x0, x1 int) {
+		if cy < loy || cy > hiy {
+			return
+		}
+		for cx := max(x0, lox); cx <= min(x1, hix); cx++ {
+			ids = append(ids, g.cells[CellKey{X: int32(cx), Y: int32(cy)}]...)
+		}
+	}
+	col := func(cx, y0, y1 int) {
+		if cx < lox || cx > hix {
+			return
+		}
+		for cy := max(y0, loy); cy <= min(y1, hiy); cy++ {
+			ids = append(ids, g.cells[CellKey{X: int32(cx), Y: int32(cy)}]...)
+		}
+	}
+	for k := first; k <= last; k++ {
+		ids = ids[:0]
+		row(qy-k, qx-k, qx+k)
+		if k > 0 {
+			col(qx-k, qy-k+1, qy+k-1)
+			col(qx+k, qy-k+1, qy+k-1)
+			row(qy+k, qx-k, qx+k)
+		}
+		next := math.Inf(1)
+		if k < last {
+			next = g.ringMin(p, qx, qy, k+1)
+		}
+		if !visit(ids, next) {
+			return
+		}
+	}
+}
+
+// ringMin is a lower bound on the distance from p, in cell (qx, qy), to
+// any point of ring k ≥ 1: the distance to the nearest of the ring's four
+// inner edges, less a slack far above the rounding error of the cell keys
+// and of Dist2, so an item in the ring never measures nearer than it.
+func (g *HashGrid) ringMin(p Point, qx, qy, k int) float64 {
+	c := g.cellSize
+	d := min(p.X-float64(qx-k+1)*c, float64(qx+k)*c-p.X,
+		p.Y-float64(qy-k+1)*c, float64(qy+k)*c-p.Y)
+	d -= 1e-9 * (math.Abs(p.X) + math.Abs(p.Y) + float64(k+1)*c)
+	return max(d, 0)
 }

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -270,4 +271,66 @@ func TestGridClampsOutOfBounds(t *testing.T) {
 	if got := g.AppendNeighborhood(nil, Pt(5, 5), 1e9); len(got) != len(pts) {
 		t.Errorf("AppendNeighborhood(1e9) returned %d ids, want all %d", len(got), len(pts))
 	}
+}
+
+// TestHashGridWalkRings checks the ring walk's contract: every item is
+// visited exactly once, and after each ring no item of a later ring lies
+// nearer than the reported bound, which never decreases. Positions sit on
+// a lattice that shares points with the cell borders; queries include
+// points far outside the occupied range.
+func TestHashGridWalkRings(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]Point, 600)
+	for i := range pts {
+		span, off := 100, 200
+		if i%8 == 0 {
+			span, off = 400, 1000
+		}
+		pts[i] = Pt(float64(rng.Intn(span)*5-off), float64(rng.Intn(span)*5-off))
+	}
+	g, pos := mustHashGrid(t, 12.5, pts)
+	for trial := 0; trial < 300; trial++ {
+		q := Pt(float64(rng.Intn(120)*5-250)+rng.Float64()*float64(trial%2), float64(rng.Intn(120)*5-250))
+		if trial%10 == 9 {
+			q = Pt(float64(rng.Intn(20000)-10000), 3e4)
+		}
+		ring := make(map[int32]int)
+		var bounds []float64
+		g.WalkRings(q, func(ids []int32, next float64) bool {
+			for _, id := range ids {
+				if _, dup := ring[id]; dup {
+					t.Fatalf("trial %d: id %d visited twice", trial, id)
+				}
+				ring[id] = len(bounds)
+			}
+			if len(bounds) > 0 && next < bounds[len(bounds)-1] {
+				t.Fatalf("trial %d: bound fell from %v to %v", trial, bounds[len(bounds)-1], next)
+			}
+			bounds = append(bounds, next)
+			return true
+		})
+		if len(ring) != len(pts) {
+			t.Fatalf("trial %d: visited %d of %d items", trial, len(ring), len(pts))
+		}
+		// The bounds never decrease, so the previous ring's is the one to beat.
+		for id, r := range ring {
+			if r == 0 {
+				continue
+			}
+			if d2, b := pos(id).Dist2(q), bounds[r-1]; d2 < b*b {
+				t.Fatalf("trial %d: item %d of ring %d at d²=%v, below the previous ring's bound %v²",
+					trial, id, r, d2, b)
+			}
+		}
+		if !math.IsInf(bounds[len(bounds)-1], 1) {
+			t.Fatalf("trial %d: last bound %v, want +Inf", trial, bounds[len(bounds)-1])
+		}
+	}
+	calls := 0
+	g.WalkRings(Pt(0, 0), func([]int32, float64) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("walk went on after visit returned false: %d calls", calls)
+	}
+	empty, _ := NewHashGrid(1)
+	empty.WalkRings(Pt(0, 0), func([]int32, float64) bool { t.Error("empty grid visited a ring"); return true })
 }

@@ -2,8 +2,8 @@
 // SSIDs. The paper estimates crowd density from geotagged photos: the number
 // of photos posted from an area is taken as a proxy for the number of people
 // there. This package bins photo locations into a uniform grid, exposes the
-// heat at any point, computes per-SSID heat values (the sum of heat at every
-// AP location of the SSID), and assigns initial database weights by the
+// heat at any point (wigle.DB.HeatRanking sums it over each SSID's APs into
+// per-SSID heat values), and assigns initial database weights by the
 // rank-ratio method of Barron & Barrett: with N ranked items the top item
 // gets weight N and the bottom item weight 1.
 package heatmap
@@ -130,33 +130,11 @@ func (m *Map) HottestCells(n int) []Cell {
 	return cells
 }
 
-// SSIDHeat is an SSID with its accumulated heat value.
+// SSIDHeat is an SSID with its accumulated heat value: the sum of the heat
+// at each of its AP positions (wigle.DB.HeatRanking ranks them).
 type SSIDHeat struct {
 	SSID string `json:"ssid"`
 	Heat int    `json:"heat"`
-}
-
-// RankByHeat computes the heat value of every SSID — the sum of the heat at
-// each of its AP positions — and returns them in descending heat order,
-// ties broken lexicographically. An SSID with many APs in crowded areas, or
-// a few APs in very crowded areas (the paper's airport example), ranks
-// high.
-func (m *Map) RankByHeat(positions map[string][]geo.Point) []SSIDHeat {
-	ranked := make([]SSIDHeat, 0, len(positions))
-	for ssid, pts := range positions {
-		heat := 0
-		for _, p := range pts {
-			heat += m.HeatAt(p)
-		}
-		ranked = append(ranked, SSIDHeat{SSID: ssid, Heat: heat})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Heat != ranked[j].Heat {
-			return ranked[i].Heat > ranked[j].Heat
-		}
-		return ranked[i].SSID < ranked[j].SSID
-	})
-	return ranked
 }
 
 // RankWeights assigns the paper's rank-based initial weights to an ordered

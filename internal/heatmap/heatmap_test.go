@@ -102,54 +102,6 @@ func TestHottestCells(t *testing.T) {
 	}
 }
 
-func TestRankByHeat(t *testing.T) {
-	m := mustMap(t)
-	// Airport cell: very hot. Chain cells: mildly warm.
-	for i := 0; i < 100; i++ {
-		m.AddPhoto(geo.Pt(850, 850))
-	}
-	for i := 0; i < 3; i++ {
-		m.AddPhoto(geo.Pt(150, 150))
-		m.AddPhoto(geo.Pt(450, 450))
-	}
-	positions := map[string][]geo.Point{
-		// Few APs, all in the hot area — the paper's airport case.
-		"AirportFree": {geo.Pt(850, 850), geo.Pt(860, 855)},
-		// Many APs in lukewarm areas.
-		"ChainShop": {geo.Pt(150, 150), geo.Pt(450, 450), geo.Pt(750, 150), geo.Pt(50, 950)},
-		"ColdNet":   {geo.Pt(250, 950)},
-	}
-	ranked := m.RankByHeat(positions)
-	if len(ranked) != 3 {
-		t.Fatalf("ranked %d SSIDs", len(ranked))
-	}
-	if ranked[0].SSID != "AirportFree" {
-		t.Errorf("top by heat = %q, want AirportFree (few APs in hot area)", ranked[0].SSID)
-	}
-	if ranked[0].Heat != 200 {
-		t.Errorf("airport heat = %d, want 200", ranked[0].Heat)
-	}
-	if ranked[1].SSID != "ChainShop" || ranked[1].Heat != 6 {
-		t.Errorf("second = %+v", ranked[1])
-	}
-	if ranked[2].Heat != 0 {
-		t.Errorf("cold heat = %d", ranked[2].Heat)
-	}
-}
-
-func TestRankByHeatDeterministicTies(t *testing.T) {
-	m := mustMap(t)
-	positions := map[string][]geo.Point{
-		"b": {geo.Pt(1, 1)}, "a": {geo.Pt(2, 2)}, "c": {geo.Pt(3, 3)},
-	}
-	for trial := 0; trial < 5; trial++ {
-		ranked := m.RankByHeat(positions)
-		if ranked[0].SSID != "a" || ranked[1].SSID != "b" || ranked[2].SSID != "c" {
-			t.Fatalf("tie order: %v", ranked)
-		}
-	}
-}
-
 func TestRankWeights(t *testing.T) {
 	w := RankWeights(200)
 	if len(w) != 200 {

@@ -221,7 +221,7 @@ func NewModel(db *wigle.DB, hm *heatmap.Map, cfg Config) (*Model, error) {
 		m.carriers = DefaultCarriers()
 	}
 
-	ranked := hm.RankByHeat(db.OpenPositionsBySSID())
+	ranked := db.HeatRanking(hm)
 	m.publicSSIDs = make([]string, 0, len(ranked))
 	m.publicCum = make([]float64, 0, len(ranked))
 	sum := 0.0
@@ -311,9 +311,13 @@ func (m *Model) localPool(at geo.Point) []string {
 	}
 	pool = m.db.NearestSSIDs(at, m.cfg.LocalPoolSize)
 	// Enforce the radius cap: drop SSIDs whose nearest AP is too far.
+	within := make(map[string]bool)
+	for _, r := range m.db.Nearby(at, m.cfg.LocalPoolRadius, true) {
+		within[r.SSID] = true
+	}
 	filtered := pool[:0]
 	for _, ssid := range pool {
-		if m.nearestAPWithin(ssid, at, m.cfg.LocalPoolRadius) {
+		if within[ssid] {
 			filtered = append(filtered, ssid)
 		}
 	}
@@ -321,15 +325,6 @@ func (m *Model) localPool(at geo.Point) []string {
 	m.localPools[key] = filtered
 	m.localPoolMu.Unlock()
 	return filtered
-}
-
-func (m *Model) nearestAPWithin(ssid string, at geo.Point, radius float64) bool {
-	for _, r := range m.db.Nearby(at, radius, true) {
-		if r.SSID == ssid {
-			return true
-		}
-	}
-	return false
 }
 
 // NewList generates a fresh PNL for a phone observed at position at.

@@ -11,14 +11,18 @@
 package wigle
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 
 	"cityhunter/internal/geo"
+	"cityhunter/internal/heatmap"
 )
 
 // Record is one observed access point.
@@ -42,6 +46,30 @@ type DB struct {
 	records []Record
 	index   *geo.HashGrid
 	bounds  geo.Rect
+
+	// aps is built on the first NearestSSIDs and heat memoises
+	// HeatRanking; both are safe for engines seeded concurrently on one
+	// world. Everything else is read-only after New.
+	apsOnce sync.Once
+	aps     []nearAP
+	names   []string // SSIDs by the ordinal in nearAP.ssid
+	heatMu  sync.Mutex
+	heat    heatMemo
+}
+
+// nearAP is a record compacted for the nearest-SSID walk: its position and
+// its SSID's ordinal, or -1 when the network is encrypted, so the walk
+// touches neither full records nor strings.
+type nearAP struct {
+	pos  geo.Point
+	ssid int32
+}
+
+// heatMemo is a heat ranking and the heat map state it was computed for.
+type heatMemo struct {
+	hm     *heatmap.Map
+	photos int
+	ranked []heatmap.SSIDHeat
 }
 
 // SSIDCount is an SSID with its number of APs; the city-wide ranking unit.
@@ -67,6 +95,28 @@ func New(bounds geo.Rect, records []Record) (*DB, error) {
 		idx.Insert(int32(i), r.Pos)
 	}
 	return db, nil
+}
+
+// nearAPs returns the records compacted for NearestSSIDs, building them on
+// first use.
+func (db *DB) nearAPs() []nearAP {
+	db.apsOnce.Do(func() {
+		db.aps = make([]nearAP, len(db.records))
+		ordinal := make(map[string]int32)
+		for i, r := range db.records {
+			s := int32(-1)
+			if r.Open {
+				var ok bool
+				if s, ok = ordinal[r.SSID]; !ok {
+					s = int32(len(db.names))
+					ordinal[r.SSID] = s
+					db.names = append(db.names, r.SSID)
+				}
+			}
+			db.aps[i] = nearAP{pos: r.Pos, ssid: s}
+		}
+	})
+	return db.aps
 }
 
 // Len returns the number of records.
@@ -101,35 +151,132 @@ func (db *DB) Nearby(p geo.Point, radius float64, openOnly bool) []Record {
 }
 
 // NearestSSIDs returns up to n distinct SSIDs ordered by the distance of
-// their closest AP to p. Only open networks are considered: the paper's
-// nearby-SSID selection keeps free APs so that association succeeds without
-// user interaction.
+// their closest AP to p, ties by record index. Only open networks are
+// considered: the paper's nearby-SSID selection keeps free APs so that
+// association succeeds without user interaction. APs farther than the
+// search cap, the first W/32·2^k beyond W+H, are never returned.
+//
+// One pass over the index's cell rings, nearest first, keeps each SSID's
+// best (d², index); an SSID whose best lies below the next ring's lower
+// bound is settled, and the walk stops once n are.
 func (db *DB) NearestSSIDs(p geo.Point, n int) []string {
 	if n <= 0 {
 		return nil
 	}
-	// Expand the search ring until n distinct open SSIDs are inside.
-	radius := db.bounds.Width() / 32
-	maxR := db.bounds.Width() + db.bounds.Height()
-	for {
-		recs := db.Nearby(p, radius, true)
-		seen := make(map[string]bool, n)
-		var out []string
-		for _, r := range recs {
-			if seen[r.SSID] {
+	capR := db.bounds.Width() / 32
+	for maxR := db.bounds.Width() + db.bounds.Height(); capR <= maxR; {
+		capR *= 2
+	}
+	cap2 := capR * capR
+	aps := db.nearAPs()
+	var (
+		best    []nearest
+		slot    = make([]int32, len(db.names)) // 1 + index into best; 0: unseen
+		pending nearHeap
+		settled int
+	)
+	db.index.WalkRings(p, func(ids []int32, next float64) bool {
+		for _, id := range ids {
+			ap := &aps[id]
+			if ap.ssid < 0 {
 				continue
 			}
-			seen[r.SSID] = true
-			out = append(out, r.SSID)
-			if len(out) == n {
-				return out
+			d2 := ap.pos.Dist2(p)
+			if d2 > cap2 {
+				continue
+			}
+			i := slot[ap.ssid] - 1
+			if i < 0 {
+				i = int32(len(best))
+				slot[ap.ssid] = i + 1
+				best = append(best, nearest{ssid: ap.ssid, d2: d2, id: id})
+			} else if b := &best[i]; d2 < b.d2 || d2 == b.d2 && id < b.id {
+				b.d2, b.id = d2, id
+			} else {
+				continue
+			}
+			pending.push(nearTip{d2: d2, slot: i})
+		}
+		// Every later AP lies at d² ≥ next², so a best below it is final.
+		next2 := next * next
+		for len(pending) > 0 && pending[0].d2 < next2 {
+			t := pending.pop()
+			if b := &best[t.slot]; !b.settled && b.d2 == t.d2 {
+				b.settled = true
+				settled++
 			}
 		}
-		if radius > maxR {
-			return out
-		}
-		radius *= 2
+		return settled < n && next2 <= cap2
+	})
+	if len(best) == 0 {
+		return nil
 	}
+	slices.SortFunc(best, func(a, b nearest) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	out := make([]string, min(n, len(best)))
+	for i := range out {
+		out[i] = db.names[best[i].ssid]
+	}
+	return out
+}
+
+// nearest is an SSID's closest open AP found so far.
+type nearest struct {
+	d2      float64
+	id      int32
+	ssid    int32
+	settled bool
+}
+
+// nearTip is an improvement to an SSID's best d², waiting in a min-heap
+// until the ring walk's lower bound passes it; a tip older than the SSID's
+// current best is stale and skipped.
+type nearTip struct {
+	d2   float64
+	slot int32
+}
+
+// nearHeap is a binary min-heap of tips by d².
+type nearHeap []nearTip
+
+func (h *nearHeap) push(t nearTip) {
+	s := append(*h, t)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up].d2 <= s[i].d2 {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
+	}
+	*h = s
+}
+
+func (h *nearHeap) pop() nearTip {
+	s := *h
+	t, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].d2 < s[c].d2 {
+			c++
+		}
+		if s[i].d2 <= s[c].d2 {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return t
 }
 
 // CountBySSID returns the number of APs per SSID. When openOnly is set only
@@ -166,17 +313,42 @@ func (db *DB) TopByAPCount(n int) []SSIDCount {
 	return ranked
 }
 
-// OpenPositionsBySSID returns, for each SSID, the positions of its open
-// APs. The heat-map ranking consumes this.
-func (db *DB) OpenPositionsBySSID() map[string][]geo.Point {
-	out := make(map[string][]geo.Point)
+// HeatRanking returns every SSID with an open AP and its heat value — the
+// sum of hm's heat at each of its open APs — in descending heat order, ties
+// broken lexicographically. An SSID with many APs in crowded areas, or a
+// few APs in very crowded areas (the paper's airport example), ranks high.
+//
+// The ranking is computed once per heat map state and shared: the memo is
+// keyed by the map and its photo count, which AddPhoto bumps. Callers must
+// not modify the returned slice.
+func (db *DB) HeatRanking(hm *heatmap.Map) []heatmap.SSIDHeat {
+	db.heatMu.Lock()
+	defer db.heatMu.Unlock()
+	if db.heat.hm == hm && db.heat.photos == hm.TotalPhotos() {
+		return db.heat.ranked
+	}
+	slot := make(map[string]int)
+	var ranked []heatmap.SSIDHeat
 	for _, r := range db.records {
 		if !r.Open {
 			continue
 		}
-		out[r.SSID] = append(out[r.SSID], r.Pos)
+		i, ok := slot[r.SSID]
+		if !ok {
+			i = len(ranked)
+			slot[r.SSID] = i
+			ranked = append(ranked, heatmap.SSIDHeat{SSID: r.SSID})
+		}
+		ranked[i].Heat += hm.HeatAt(r.Pos)
 	}
-	return out
+	slices.SortFunc(ranked, func(a, b heatmap.SSIDHeat) int {
+		if c := cmp.Compare(b.Heat, a.Heat); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.SSID, b.SSID)
+	})
+	db.heat = heatMemo{hm: hm, photos: hm.TotalPhotos(), ranked: ranked}
+	return ranked
 }
 
 // InRect returns the records inside the axis-aligned rectangle, in

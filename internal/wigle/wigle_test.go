@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cityhunter/internal/geo"
+	"cityhunter/internal/heatmap"
 )
 
 var testBounds = geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
@@ -161,6 +162,127 @@ func TestNearestSSIDsZero(t *testing.T) {
 	}
 }
 
+// nearestSSIDsDoubling is NearestSSIDs' definition by expanding search:
+// query ever larger discs, W/32·2^k, until one holds n distinct open SSIDs
+// or the radius passes W+H.
+func nearestSSIDsDoubling(db *DB, p geo.Point, n int) []string {
+	radius := db.bounds.Width() / 32
+	maxR := db.bounds.Width() + db.bounds.Height()
+	for {
+		seen := make(map[string]bool)
+		var out []string
+		for _, r := range db.Nearby(p, radius, true) {
+			if !seen[r.SSID] {
+				seen[r.SSID] = true
+				out = append(out, r.SSID)
+			}
+			if len(out) == n {
+				return out
+			}
+		}
+		if radius > maxR {
+			return out
+		}
+		radius *= 2
+	}
+}
+
+// nearestSSIDsBrute ranks every SSID by its best open record, (d², index),
+// among the records within cap of p, and keeps the first n.
+func nearestSSIDsBrute(recs []Record, p geo.Point, n int, cap float64) []string {
+	type best struct {
+		d2 float64
+		i  int
+	}
+	bests := make(map[string]best)
+	for i, r := range recs {
+		d2 := r.Pos.Dist2(p)
+		if !r.Open || d2 > cap*cap {
+			continue
+		}
+		if b, ok := bests[r.SSID]; !ok || d2 < b.d2 {
+			bests[r.SSID] = best{d2, i}
+		}
+	}
+	ssids := make([]string, 0, len(bests))
+	for s := range bests {
+		ssids = append(ssids, s)
+	}
+	sort.Slice(ssids, func(a, b int) bool {
+		x, y := bests[ssids[a]], bests[ssids[b]]
+		if x.d2 != y.d2 {
+			return x.d2 < y.d2
+		}
+		return x.i < y.i
+	})
+	if len(ssids) == 0 {
+		return nil
+	}
+	return ssids[:min(n, len(ssids))]
+}
+
+// TestNearestSSIDsMatchesBruteForce checks the ring walk against both
+// definitions above on lattice positions (exact distance ties, points on
+// cell borders), shared SSIDs, encrypted records, records and query points
+// far outside the bounds, and n from 1 past the number of distinct SSIDs.
+func TestNearestSSIDsMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, bounds := range []geo.Rect{
+		testBounds, // 15.625 m cells, search cap 4 km
+		geo.NewRect(geo.Pt(-500, 200), geo.Pt(2500, 700)), // wide: 46.875 m cells, cap 3.75 km
+		geo.NewRect(geo.Pt(0, 0), geo.Pt(300, 2000)),      // tall: cap from the width alone
+	} {
+		recs := make([]Record, 1000)
+		for i := range recs {
+			// Half the records crowd a 400 m block, a tenth scatter up
+			// to 6 km out, past the cap, and the rest cover the city.
+			span, off := 160, 300
+			switch {
+			case i%10 == 0:
+				span, off = 1200, 6000
+			case i%2 == 1:
+				span, off = 40, -100
+			}
+			recs[i] = Record{
+				SSID: fmt.Sprintf("net-%d", rng.Intn(200)),
+				Pos:  geo.Pt(float64(rng.Intn(span)*10-off), float64(rng.Intn(span)*10-off)),
+				Open: rng.Intn(4) > 0,
+			}
+		}
+		db, err := New(bounds, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capR := bounds.Width() / 32
+		for capR <= bounds.Width()+bounds.Height() {
+			capR *= 2
+		}
+		for trial := 0; trial < 120; trial++ {
+			q := geo.Pt(float64(rng.Intn(200)*10-500), float64(rng.Intn(200)*10-500))
+			switch trial % 6 {
+			case 3: // inside the crowded block
+				q = geo.Pt(float64(rng.Intn(40)*10+100), float64(rng.Intn(40)*10+100))
+			case 4: // far outside the bounds, near the outlying records
+				q = geo.Pt(float64(rng.Intn(1000)*10-5000), float64(rng.Intn(1000)*10-5000))
+			case 5: // beyond every record and the cap
+				q = geo.Pt(1e5, -3e4)
+			}
+			n := 1 + rng.Intn(20)
+			if trial%7 == 0 { // up to past the ~200 distinct SSIDs
+				n = 1 + rng.Intn(250)
+			}
+			want := nearestSSIDsBrute(recs, q, n, capR)
+			if old := nearestSSIDsDoubling(db, q, n); !reflect.DeepEqual(old, want) {
+				t.Fatalf("%v trial %d: the two definitions disagree at %v n=%d:\n doubling %v\n brute    %v",
+					bounds, trial, q, n, old, want)
+			}
+			if got := db.NearestSSIDs(q, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v trial %d: NearestSSIDs(%v, %d) =\n %v\nwant\n %v", bounds, trial, q, n, got, want)
+			}
+		}
+	}
+}
+
 func TestCountBySSID(t *testing.T) {
 	db := mustDB(t)
 	all := db.CountBySSID(false)
@@ -208,14 +330,132 @@ func TestTopByAPCountDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestOpenPositionsBySSID(t *testing.T) {
-	db := mustDB(t)
-	pos := db.OpenPositionsBySSID()
-	if len(pos["AirportFree"]) != 3 {
-		t.Errorf("AirportFree positions = %d, want 3", len(pos["AirportFree"]))
+// heatFixture is a 1 km city with 100 m heat cells: a very hot airport
+// cell, two lukewarm cells and cold elsewhere.
+func heatFixture(t testing.TB) *heatmap.Map {
+	t.Helper()
+	m, err := heatmap.New(testBounds, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := pos["SecureCorp"]; ok {
-		t.Error("secured SSID present in open positions")
+	for i := 0; i < 100; i++ {
+		m.AddPhoto(geo.Pt(850, 850))
+	}
+	for i := 0; i < 3; i++ {
+		m.AddPhoto(geo.Pt(150, 150))
+		m.AddPhoto(geo.Pt(450, 450))
+	}
+	return m
+}
+
+func TestHeatRanking(t *testing.T) {
+	db, err := New(testBounds, []Record{
+		// Few APs, all in the hot area — the paper's airport case.
+		{SSID: "AirportFree", Pos: geo.Pt(850, 850), Open: true},
+		{SSID: "AirportFree", Pos: geo.Pt(860, 855), Open: true},
+		// Many APs in lukewarm areas.
+		{SSID: "ChainShop", Pos: geo.Pt(150, 150), Open: true},
+		{SSID: "ChainShop", Pos: geo.Pt(450, 450), Open: true},
+		{SSID: "ChainShop", Pos: geo.Pt(750, 150), Open: true},
+		{SSID: "ChainShop", Pos: geo.Pt(50, 950), Open: true},
+		{SSID: "ColdNet", Pos: geo.Pt(250, 950), Open: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := db.HeatRanking(heatFixture(t))
+	if len(ranked) != 3 {
+		t.Fatalf("ranked %d SSIDs", len(ranked))
+	}
+	if ranked[0].SSID != "AirportFree" {
+		t.Errorf("top by heat = %q, want AirportFree (few APs in hot area)", ranked[0].SSID)
+	}
+	if ranked[0].Heat != 200 {
+		t.Errorf("airport heat = %d, want 200", ranked[0].Heat)
+	}
+	if ranked[1].SSID != "ChainShop" || ranked[1].Heat != 6 {
+		t.Errorf("second = %+v", ranked[1])
+	}
+	if ranked[2].Heat != 0 {
+		t.Errorf("cold heat = %d", ranked[2].Heat)
+	}
+}
+
+func TestHeatRankingDeterministicTies(t *testing.T) {
+	hm := heatFixture(t)
+	for trial := 0; trial < 5; trial++ {
+		db, err := New(testBounds, []Record{
+			{SSID: "b", Pos: geo.Pt(1, 1), Open: true},
+			{SSID: "a", Pos: geo.Pt(2, 2), Open: true},
+			{SSID: "c", Pos: geo.Pt(3, 3), Open: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked := db.HeatRanking(hm)
+		if ranked[0].SSID != "a" || ranked[1].SSID != "b" || ranked[2].SSID != "c" {
+			t.Fatalf("tie order: %v", ranked)
+		}
+	}
+}
+
+// TestHeatRankingOpenOnly checks that heat sums over an SSID's open APs
+// only and that an SSID with none is not ranked.
+func TestHeatRankingOpenOnly(t *testing.T) {
+	db := mustDB(t)
+	hm, err := heatmap.New(testBounds, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm.AddPhoto(geo.Pt(500, 500)) // the cell of all three AirportFree APs
+	hm.AddPhoto(geo.Pt(100, 100)) // CafeNet, SecureCorp and MallWiFi's cell
+	heat := make(map[string]int)
+	for _, sh := range db.HeatRanking(hm) {
+		heat[sh.SSID] = sh.Heat
+	}
+	if heat["AirportFree"] != 3 {
+		t.Errorf("AirportFree heat = %d, want 3 (one per open AP)", heat["AirportFree"])
+	}
+	if _, ok := heat["SecureCorp"]; ok {
+		t.Error("secured SSID ranked")
+	}
+	if len(heat) != 3 {
+		t.Errorf("ranked %d SSIDs, want the 3 open ones", len(heat))
+	}
+}
+
+// TestHeatRankingTracksPhotos checks the memo against a mutated heat map
+// and a second map: each call must equal a fresh computation.
+func TestHeatRankingTracksPhotos(t *testing.T) {
+	db := mustDB(t)
+	fresh := func(hm *heatmap.Map) []heatmap.SSIDHeat {
+		d, err := New(testBounds, db.Records())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.HeatRanking(hm)
+	}
+	hm := heatFixture(t)
+	before := db.HeatRanking(hm)
+	if again := db.HeatRanking(hm); &again[0] != &before[0] {
+		t.Error("unchanged heat map recomputed its ranking")
+	}
+	for i := 0; i < 5; i++ {
+		hm.AddPhoto(geo.Pt(900, 900)) // CafeNet's second AP
+	}
+	after := db.HeatRanking(hm)
+	if !reflect.DeepEqual(after, fresh(hm)) {
+		t.Errorf("after AddPhoto: memo %v, fresh %v", after, fresh(hm))
+	}
+	if reflect.DeepEqual(after, before) {
+		t.Error("AddPhoto did not change the ranking")
+	}
+	other, err := heatmap.New(testBounds, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.HeatRanking(other); !reflect.DeepEqual(got, fresh(other)) {
+		t.Errorf("second map: memo %v, fresh %v", got, fresh(other))
 	}
 }
 
