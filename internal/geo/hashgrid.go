@@ -121,7 +121,9 @@ func (g *HashGrid) span(p Point, radius float64) (x0, y0, x1, y1 int) {
 // radius of p — callers re-check exact geometry — and is produced without
 // allocating when dst has capacity. Cells are visited in row-major order;
 // ids within a cell come back in bucket order, so callers that need a
-// global order must impose their own (ids are ints — sort them).
+// global order must impose their own. Each id sits in one cell, so the
+// result never repeats an id: the radio medium marks the ids in a bitset
+// and reads them back in ascending order.
 //
 // The scan spans ceil(radius/cellSize) rings of cells on each side of p's
 // cell, so a radius larger than the cell size still sees every candidate.

@@ -213,8 +213,11 @@ func canonLabels(labels []string) string {
 	return b.String()
 }
 
-// lookup finds or creates an entry, enforcing kind consistency.
-func (r *Registry) lookup(name string, kind metricKind, labels []string) *metricEntry {
+// lookup finds or creates an entry, enforcing kind consistency. A new
+// entry gets its metric (a histogram with the given bounds) under the
+// registry lock, so a concurrent Snapshot never sees it without one and two
+// first uses of one series share a single metric.
+func (r *Registry) lookup(name string, kind metricKind, labels []string, bounds []float64) *metricEntry {
 	ls := canonLabels(labels)
 	key := name + "{" + ls + "}"
 	r.mu.Lock()
@@ -226,6 +229,16 @@ func (r *Registry) lookup(name string, kind metricKind, labels []string) *metric
 		return e
 	}
 	e := &metricEntry{name: name, labels: ls, kind: kind}
+	switch kind {
+	case kindCounter:
+		e.counter = &Counter{}
+	case kindGauge:
+		e.gauge = &Gauge{}
+	case kindHistogram:
+		bs := make([]float64, len(bounds))
+		copy(bs, bounds)
+		e.hist = &Histogram{bounds: bs, counts: make([]int64, len(bs)+1)}
+	}
 	r.entries[key] = e
 	return e
 }
@@ -236,11 +249,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.lookup(name, kindCounter, labels, nil).counter
 }
 
 // Gauge returns the gauge for name and label pairs, creating it on first
@@ -249,11 +258,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.lookup(name, kindGauge, labels, nil).gauge
 }
 
 // Histogram returns the fixed-bucket histogram for name and label pairs,
@@ -264,13 +269,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindHistogram, labels)
-	if e.hist == nil {
-		bs := make([]float64, len(bounds))
-		copy(bs, bounds)
-		e.hist = &Histogram{bounds: bs, counts: make([]int64, len(bs)+1)}
-	}
-	return e.hist
+	return r.lookup(name, kindHistogram, labels, bounds).hist
 }
 
 // BucketCount is one histogram bucket in a snapshot. UpperBound is +Inf for

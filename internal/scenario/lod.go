@@ -45,7 +45,7 @@ type FarFieldConfig struct {
 	// edges). A zero rect covers the stops' bounding box padded by 1 km.
 	Entry geo.Rect
 	// Seed feeds the dedicated spawn stream that derives every
-	// pedestrian's private RNG stream. 0 selects Base.Seed+9. Keeping this
+	// pedestrian's RNG seed. 0 selects Base.Seed+9. Keeping this
 	// stream separate from the run RNG is what leaves venue-scale goldens
 	// byte-identical when far field is enabled alongside them.
 	Seed int64
@@ -152,11 +152,12 @@ type promoWindow struct {
 	site       int
 }
 
-// pedestrian is one far-field inhabitant. Until promoted it is pure data:
-// an itinerary, a private RNG stream seeded at spawn, and the precomputed
-// promotion windows. The stream makes every draw the pedestrian will ever
-// cause — PNL, behaviour flags, scan jitter — independent of when (and
-// whether) other pedestrians promote.
+// pedestrian is one far-field inhabitant whose itinerary crosses at least
+// one promotion boundary; spawn keeps no others. Until promoted it is pure
+// data: an itinerary, a private RNG stream seeded at spawn, and the
+// promotion windows scheduled on the site engines. The stream makes every
+// draw the pedestrian will ever cause — PNL, behaviour flags, scan jitter —
+// independent of when (and whether) other pedestrians promote.
 type pedestrian struct {
 	mac   ieee80211.MAC
 	rng   *rand.Rand
@@ -200,6 +201,7 @@ type tierManager struct {
 
 	sitePos []geo.Point
 
+	// peds holds the pedestrians with promotion windows, in ID order.
 	peds []*pedestrian
 
 	perSite []tierSite
@@ -258,20 +260,37 @@ func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) *tierMana
 // order, each window on its owning site's engine: arrivals, itineraries and
 // promotion windows are fully determined by the spawn seed alone. The env
 // RNG streams are never touched.
+//
+// Each pedestrian's spawn values come from a stream seeded with its own
+// seed. Most pedestrians never cross a promotion boundary and never draw
+// again, so one stream is re-seeded for each of them and they are not kept.
+// A pedestrian with promotion windows takes the stream as its private one,
+// already advanced past its spawn draws, and a fresh stream serves the next.
 func (tm *tierManager) spawn(horizon time.Duration) {
 	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
+	var rng *rand.Rand
 	for id := 0; id < tm.cfg.Pedestrians; id++ {
 		seed := spawn.Int63()
-		p := &pedestrian{mac: farFieldMAC(id), rng: rand.New(rand.NewSource(seed))}
-		p.direct = p.rng.Float64() < tm.envs[0].cfg.DirectProberFraction
-		arrival := time.Duration(p.rng.Int63n(int64(horizon)))
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
+		direct := rng.Float64() < tm.envs[0].cfg.DirectProberFraction
+		arrival := time.Duration(rng.Int63n(int64(horizon)))
 		entry := geo.Pt(
-			tm.cfg.Entry.Min.X+p.rng.Float64()*tm.cfg.Entry.Width(),
-			tm.cfg.Entry.Min.Y+p.rng.Float64()*tm.cfg.Entry.Height(),
+			tm.cfg.Entry.Min.X+rng.Float64()*tm.cfg.Entry.Width(),
+			tm.cfg.Entry.Min.Y+rng.Float64()*tm.cfg.Entry.Height(),
 		)
-		p.route = tm.cfg.Route.Sample(p.rng, arrival, entry, tm.cfg.Stops)
+		route := tm.cfg.Route.Sample(rng, arrival, entry, tm.cfg.Stops)
+		ws := tm.windows(route)
+		if len(ws) == 0 {
+			continue
+		}
+		p := &pedestrian{mac: farFieldMAC(id), rng: rng, route: route, direct: direct}
+		rng = nil
 		tm.peds = append(tm.peds, p)
-		for _, w := range tm.windows(p.route) {
+		for _, w := range ws {
 			w := w
 			engine := tm.envs[w.site].engine
 			engine.At(w.start, func() { tm.promote(p, w) })
@@ -471,7 +490,7 @@ func (tm *tierManager) driveMovement(p *pedestrian, env *runEnv) {
 // partition count. Clients still promoted at the horizon are read live;
 // everyone else from their last snapshot.
 func (tm *tierManager) result(now time.Duration, engines []*core.Engine) *FarFieldResult {
-	res := &FarFieldResult{Pedestrians: len(tm.peds)}
+	res := &FarFieldResult{Pedestrians: tm.cfg.Pedestrians}
 	var deltas []tierDelta
 	for i := range tm.perSite {
 		s := &tm.perSite[i]
@@ -505,7 +524,7 @@ func (tm *tierManager) result(now time.Duration, engines []*core.Engine) *FarFie
 			st = p.snap.Stats
 			macs = snapshotMACs(p.snap)
 		default:
-			continue // never promoted: nothing on air, nothing to report
+			continue // never promoted before the run ended: nothing to report
 		}
 		res.Promoted++
 		o := stats.ClientOutcome{

@@ -9,6 +9,7 @@ import (
 
 	"cityhunter/internal/geo"
 	"cityhunter/internal/mobility"
+	"cityhunter/internal/sim"
 )
 
 // farFieldConfig routes a small far-field population straight through the
@@ -123,6 +124,102 @@ func TestFarFieldDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("far-field results differ between identical runs:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestFarFieldKeepsOnlyPromotablePedestrians pins what spawn retains. At a
+// small promotion radius most itineraries never cross a boundary: spawn
+// must keep exactly the pedestrians with promotion windows, each carrying
+// the route, flag and stream position a private stream drawn for every
+// pedestrian would give it, and a run must still report the configured
+// population and promote exactly the kept pedestrians whose first window
+// opens within the horizon, identically across same-seed runs.
+func TestFarFieldKeepsOnlyPromotablePedestrians(t *testing.T) {
+	const n = 400
+	horizon := 20 * time.Minute
+	d := deployConfig(t, CityHunter, 25)
+	d.FarField = &FarFieldConfig{Pedestrians: n, Radius: 20, Seed: 77}
+	cfg, err := d.FarField.normalized(d.Sites, 0, d.Base.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := &tierManager{cfg: cfg}
+	for _, v := range d.Sites {
+		tm.envs = append(tm.envs, &runEnv{cfg: d.Base, engine: sim.NewEngine()})
+		tm.sitePos = append(tm.sitePos, v.Position)
+	}
+	tm.spawn(horizon)
+
+	// Reference: the spawn that gave every pedestrian a private stream.
+	type kept struct {
+		id      int
+		direct  bool
+		route   mobility.Route
+		stream  *rand.Rand
+		windows []promoWindow
+	}
+	var want []kept
+	spawn := rand.New(rand.NewSource(cfg.Seed))
+	for id := 0; id < n; id++ {
+		rng := rand.New(rand.NewSource(spawn.Int63()))
+		direct := rng.Float64() < d.Base.DirectProberFraction
+		arrival := time.Duration(rng.Int63n(int64(horizon)))
+		entry := geo.Pt(
+			cfg.Entry.Min.X+rng.Float64()*cfg.Entry.Width(),
+			cfg.Entry.Min.Y+rng.Float64()*cfg.Entry.Height(),
+		)
+		route := cfg.Route.Sample(rng, arrival, entry, cfg.Stops)
+		if ws := tm.windows(route); len(ws) > 0 {
+			want = append(want, kept{id, direct, route, rng, ws})
+		}
+	}
+	if len(want) == 0 || len(want) > n/4 {
+		t.Fatalf("%d of %d pedestrians have promotion windows; the test needs a few, not most", len(want), n)
+	}
+	if len(tm.peds) != len(want) {
+		t.Fatalf("spawn kept %d pedestrians, %d have promotion windows", len(tm.peds), len(want))
+	}
+	events, promotable := 0, 0
+	for i, w := range want {
+		p := tm.peds[i]
+		if p.mac != farFieldMAC(w.id) || p.direct != w.direct || !reflect.DeepEqual(p.route, w.route) {
+			t.Fatalf("kept pedestrian %d differs from reference pedestrian %d", i, w.id)
+		}
+		for k := 0; k < 4; k++ {
+			if got, ref := p.rng.Int63(), w.stream.Int63(); got != ref {
+				t.Fatalf("pedestrian %d stream draw %d = %d, reference stream %d", w.id, k, got, ref)
+			}
+		}
+		events += 2 * len(w.windows)
+		if w.windows[0].start <= horizon {
+			promotable++
+		}
+	}
+	for _, env := range tm.envs {
+		events -= env.engine.Pending()
+	}
+	if events != 0 {
+		t.Errorf("site engines hold %d events more or fewer than the windows' promotes and demotes", -events)
+	}
+
+	run := func() *FarFieldResult {
+		res, err := RunDeployment(d, 0, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.FarField
+	}
+	ff := run()
+	t.Logf("%d of %d pedestrians kept, %d promoted by the horizon", len(want), n, ff.Promoted)
+	if ff.Pedestrians != n {
+		t.Errorf("reported %d pedestrians, configured %d", ff.Pedestrians, n)
+	}
+	if ff.Promoted != promotable || len(ff.Outcomes) != promotable {
+		t.Errorf("promoted %d with %d outcomes, want the %d kept pedestrians whose first window opens by the horizon",
+			ff.Promoted, len(ff.Outcomes), promotable)
+	}
+	if again := run(); !reflect.DeepEqual(ff, again) {
+		t.Errorf("same-seed far-field results differ:\n%+v\n%+v", ff, again)
 	}
 }
 

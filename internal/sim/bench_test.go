@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -43,6 +44,38 @@ func BenchmarkMediumBroadcast100Stations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Transmit(f)
 		e.Run(e.Now() + time.Millisecond)
+	}
+}
+
+// BenchmarkMediumBroadcastCanteen measures one broadcast fan-out at
+// canteen density: 300 stations on mixed channels over a 80 m square (the
+// area of the canteen's 45 m placement disk) under a 50 m radio range, with
+// cells churned so grid buckets no longer list stations in slot order. The
+// transmitter rotates over the attached stations.
+func BenchmarkMediumBroadcastCanteen(b *testing.B) {
+	const half = 40.0
+	rng := rand.New(rand.NewSource(1))
+	e := NewEngine()
+	m := NewMedium(e, 50)
+	st := newChurnStations(rng, 300, half, nil)
+	for _, s := range st {
+		if err := m.Attach(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	churn(rng, m, st, half, 600)
+	var frames []*ieee80211.Frame
+	for _, s := range st {
+		if m.Attached(s.addr) {
+			frames = append(frames, probeReq(s.addr))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Transmit(frames[i%len(frames)])
+		for e.Step() {
+		}
 	}
 }
 

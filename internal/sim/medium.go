@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -72,6 +72,9 @@ type Medium struct {
 	// nests (events run one at a time and Receive callbacks only schedule
 	// future work), so a single buffer is safe.
 	scratch []int32
+	// mark is the broadcast walk's bitset, one bit per slot of order. It
+	// grows lazily like scratch and is all zero between broadcasts.
+	mark []uint64
 	// compactGen counts station-table compactions. Broadcast loops snapshot
 	// it: while it is unchanged, a nil slot check is an exact liveness test
 	// for the snapshot they iterate, and the per-receiver map lookup the
@@ -481,6 +484,7 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 		return
 	}
 	txPos := m.order[ti].Pos()
+	gen := m.compactGen
 
 	// Monitor-mode stations hear everything in range, first — their
 	// detectors may inform decisions other receivers make later in the
@@ -495,7 +499,14 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 	}
 
 	if f.DA.IsBroadcast() {
-		m.deliverBroadcast(tx, txPos, txCh, f)
+		if m.compactGen != gen || m.order[ti] == nil {
+			// A monitor's Receive detached the transmitter or compacted
+			// the table: re-resolve its slot, -1 once it is gone.
+			if ti, ok = m.index[tx]; !ok {
+				ti = -1
+			}
+		}
+		m.deliverBroadcast(ti, txPos, txCh, f)
 		return
 	}
 	ri, ok := m.index[f.DA]
@@ -533,35 +544,55 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 	}
 }
 
-// deliverBroadcast fans f out to every in-range station in attach order.
-// Only stations bucketed in the grid cells the transmitter can reach are
-// visited; their slot ids sort ascending, which IS attach order, so the
-// delivery sequence (and thus every RNG draw) is that of a scan over all
-// attached stations.
-func (m *Medium) deliverBroadcast(tx ieee80211.MAC, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
+// deliverBroadcast fans f out to every in-range station but the
+// transmitter, whose slot is ti, in attach order. Only stations bucketed in
+// the grid cells the transmitter can reach are visited. Each candidate sets
+// its slot's bit in mark, and the walk then reads the touched words from
+// lowest to highest, clearing each as it goes. A station sits in one cell,
+// so no slot repeats, and ascending slot order IS attach order: the delivery
+// sequence (and thus every RNG draw) is that of a scan over all attached
+// stations, at the cost of the candidates plus the touched span / 64.
+func (m *Medium) deliverBroadcast(ti int, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
 	order := m.order
 	cands := m.grid.AppendNeighborhood(m.scratch[:0], txPos, m.maxRange)
-	slices.Sort(cands)
 	m.scratch = cands
-	gen := m.compactGen
+	if len(cands) == 0 {
+		return
+	}
+	if n := (len(order) + 63) / 64; len(m.mark) < n {
+		m.mark = append(m.mark, make([]uint64, n-len(m.mark))...)
+	}
+	mark := m.mark
+	lo, hi := len(mark), 0
 	for _, i := range cands {
-		rx := order[i]
-		if rx == nil || rx.Addr() == tx {
-			continue
-		}
-		if m.compactGen != gen {
-			// A Receive callback compacted the station table: the slots of
-			// our pre-compaction snapshot are no longer nilled on detach,
-			// so fall back to the authoritative liveness map for the rest
-			// of this fan-out.
-			if _, live := m.index[rx.Addr()]; !live {
+		w := int(i >> 6)
+		mark[w] |= 1 << (i & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	gen := m.compactGen
+	for w := lo; w <= hi; w++ {
+		word := mark[w]
+		mark[w] = 0
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			rx := order[i]
+			if rx == nil || i == ti {
 				continue
 			}
-		}
-		if sameChannel(txCh, rx) && m.receives(txPos, rx.Pos(), f.Subtype) {
-			m.FramesDelivered++
-			m.mDelivered[f.Subtype&0xf].Inc()
-			rx.Receive(f)
+			if m.compactGen != gen {
+				// A Receive callback compacted the station table: the slots
+				// of our pre-compaction snapshot are no longer nilled on
+				// detach, so fall back to the authoritative liveness map for
+				// the rest of this fan-out.
+				if _, live := m.index[rx.Addr()]; !live {
+					continue
+				}
+			}
+			if sameChannel(txCh, rx) && m.receives(txPos, rx.Pos(), f.Subtype) {
+				m.FramesDelivered++
+				m.mDelivered[f.Subtype&0xf].Inc()
+				rx.Receive(f)
+			}
 		}
 	}
 }
